@@ -6,9 +6,9 @@ spectra are inline comma-separated reals or a file path.  Output is JSON
 with a fixed field order and numbers printed to 12 significant digits, so
 identical inputs produce byte-identical stdout.
 
-Exit codes: 0 success, 2 malformed input, 3 bad trace target,
-4 infeasible completion (result still printed), 5 rank precondition
-violated, 6 frame not spanning / singular operator.
+Exit codes: 0 success, 2 malformed input (including a rank bound m >= d),
+3 bad trace target, 4 infeasible completion (result still printed),
+5 rank precondition violated, 6 frame not spanning / singular operator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from .completion import CompletionProblem, complete, completion_to_json, plan
 from .duals import DualProblem, dual_to_json, optimal_dual
 from .errors import (
-    BadM,
     BadTrace,
     FrameOptError,
     NotSpanning,
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"frameopt: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BadTrace, BadM) as exc:
+    except BadTrace as exc:
         print(f"frameopt: {exc}", file=sys.stderr)
         return EXIT_BAD_TRACE
     except RankDeficient as exc:

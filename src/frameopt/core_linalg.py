@@ -1,9 +1,11 @@
-"""Dense complex-Hermitian kernels: Jacobi eigensolver, null spaces, rotations.
+"""Dense complex-Hermitian kernels: eigensystems, null spaces, rotations.
 
-Everything here is deterministic: a fixed cyclic sweep order, a fixed
-eigenvector sign convention, and stable tie ordering, so identical inputs
-produce identical outputs on every platform.  Real symmetric input runs
-through a real-only code path and yields real output arrays.
+Eigensystems come from LAPACK (``np.linalg.eigh``) and kernels from one
+full SVD, followed by a canonicalization step: a stable descending sort and
+a fixed eigenvector phase convention.  Identical inputs therefore produce
+identical outputs on one machine; across BLAS/LAPACK builds the results
+agree to rounding, not bitwise.  Real symmetric input yields real output
+arrays.
 """
 
 from __future__ import annotations
@@ -11,18 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     IndexOutOfRange,
     NotHermitian,
     NotPositiveSemidefinite,
     RankDeficient,
 )
 from .majorization import SpectrumVec
-
-# Off-diagonal Frobenius mass at which a Jacobi sweep loop stops, relative
-# to the Frobenius norm of the input.
-_OFF_DIAG_FACTOR = 1e-12
-_MAX_SWEEPS = 60
 
 # Symmetry and reconstruction tolerances, relative to (1 + ||A||_F).
 _SYM_FACTOR = 1e-10
@@ -31,18 +27,13 @@ _PSD_FACTOR = 1e-10
 # Relative singular-value cutoff for row-rank decisions.
 _RANK_FACTOR = 1e-8
 
-# Entries smaller than this are skipped when picking the pivot that fixes
-# an eigenvector's phase.
+# Entries at most this fraction of max(||column||, 1) are skipped when
+# picking the pivot that fixes a column's phase.
 _SIGN_TOL = 1e-8
 
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def _offdiag_norm(a) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
 
 
 def _check_square(a) -> np.ndarray:
@@ -56,145 +47,51 @@ def _check_square(a) -> np.ndarray:
     return arr
 
 
-def _jacobi_tangent(theta: float) -> float:
-    # Smaller root of t^2 + 2 theta t - 1 = 0; |t| <= 1.
-    if abs(theta) > 1.0e12:
-        return 0.5 / theta
-    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-    return -t if theta < 0.0 else t
-
-
-def _jacobi_real(a: np.ndarray):
-    d = a.shape[0]
-    v = np.eye(d)
-    norm0 = float(np.linalg.norm(a))
-    if norm0 == 0.0:
-        return np.zeros(d), v
-    thresh = _OFF_DIAG_FACTOR * norm0
-    skip = thresh / d
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                rotated = True
-                t = _jacobi_tangent((a[q, q] - a[p, p]) / (2.0 * apq))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated or _offdiag_norm(a) <= thresh:
-            return np.diag(a).copy(), v
-    raise ConvergenceError("Jacobi sweep limit reached")
-
-
-def _jacobi_complex(a: np.ndarray):
-    d = a.shape[0]
-    v = np.eye(d, dtype=complex)
-    norm0 = float(np.linalg.norm(a))
-    if norm0 == 0.0:
-        return np.zeros(d), v
-    thresh = _OFF_DIAG_FACTOR * norm0
-    skip = thresh / d
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                g = abs(apq)
-                if g <= skip:
-                    continue
-                rotated = True
-                w = apq / g
-                t = _jacobi_tangent((a[q, q].real - a[p, p].real) / (2.0 * g))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # Unitary block [[c, s], [-conj(w) s, conj(w) c]] in the
-                # (p, q) plane; the extra phase makes the pivot real first.
-                wc = np.conj(w)
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - (wc * s) * aq
-                a[:, q] = s * ap + (wc * c) * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - (w * s) * aq
-                a[q, :] = s * ap + (w * c) * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - (wc * s) * vq
-                v[:, q] = s * vp + (wc * c) * vq
-        if not rotated or _offdiag_norm(a) <= thresh:
-            return np.diag(a).real.copy(), v
-    raise ConvergenceError("Jacobi sweep limit reached")
-
-
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """First entry of each column with modulus > tol is made real positive."""
-    d = v.shape[0]
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > _SIGN_TOL)
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        if np.iscomplexobj(v):
-            v[:, j] = col * (np.conj(pivot) / abs(pivot))
-            v[nz[0], j] = abs(pivot)
-        elif pivot < 0.0:
-            v[:, j] = -col
+    """Make each column's first significant entry real positive, in place.
+
+    An entry is significant when its modulus exceeds
+    ``_SIGN_TOL * max(||column||, 1)``; columns with none are left as is.
+    """
+    if v.size == 0:
+        return v
+    mag = np.abs(v)
+    mask = mag > _SIGN_TOL * np.maximum(np.linalg.norm(v, axis=0), 1.0)
+    cols = np.flatnonzero(mask.any(axis=0))
+    rows = mask[:, cols].argmax(axis=0)
+    pivot = v[rows, cols]
+    if np.iscomplexobj(v):
+        v[:, cols] *= np.conj(pivot) / mag[rows, cols]
+        v[rows, cols] = mag[rows, cols]
+    else:
+        v[:, cols] *= np.where(pivot < 0.0, -1.0, 1.0)
     return v
 
 
 def eig_hermitian(a):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns ``(w, v)`` with eigenvalues ``w`` in nonincreasing order and the
-    columns of ``v`` the matching orthonormal eigenvectors.  Sweeps continue
-    until the off-diagonal Frobenius mass falls below 1e-12 times the input
-    norm.  Ties are ordered by original diagonal position, and each
-    eigenvector's first significant entry is made real positive, so output
-    is deterministic.  Real input stays on a real-arithmetic path.
+    columns of ``v`` the matching orthonormal eigenvectors.  The solver runs
+    once on the symmetrized matrix (A + A*)/2; its ascending output is
+    reversed by a stable sort, so exactly tied eigenvalues keep LAPACK's
+    order, and each eigenvector's first significant entry is made real
+    positive.  Output is deterministic for a given input on one machine.
+    Real input yields real output.
 
     Raises NotHermitian when ``a`` differs from its adjoint beyond
     1e-10 * (1 + ||a||_F).
     """
     arr = _check_square(a)
-    d = arr.shape[0]
     normf = float(np.linalg.norm(arr))
     tol_sym = _SYM_FACTOR * (1.0 + normf)
     if float(np.linalg.norm(arr - arr.conj().T)) > tol_sym:
         raise NotHermitian("matrix is not equal to its adjoint")
-    if np.iscomplexobj(arr):
-        work = (arr + arr.conj().T).astype(complex) / 2.0
-        wdiag, v = _jacobi_complex(work)
-    else:
-        work = (arr + arr.T).astype(float) / 2.0
-        wdiag, v = _jacobi_real(work)
-    if d == 0:
-        return wdiag, v
-    order = np.argsort(-wdiag, kind="stable")
-    w = wdiag[order]
-    v = _fix_phases(v[:, order])
-    return w, v
+    dtype = complex if np.iscomplexobj(arr) else float
+    work = (arr + arr.conj().T).astype(dtype) / 2.0
+    w, v = np.linalg.eigh(work)
+    order = np.argsort(-w, kind="stable")
+    return w[order], _fix_phases(v[:, order])
 
 
 class HermitianPSD:
@@ -225,7 +122,7 @@ class HermitianPSD:
     def from_eigensystem(cls, values, vectors) -> "HermitianPSD":
         """Build from known eigenvalues and an orthonormal eigenbasis.
 
-        Skips the iterative solver; pairs are sorted into nonincreasing
+        Skips the eigensolver; pairs are sorted into nonincreasing
         eigenvalue order (stable in the given column order).
         """
         w = np.asarray(values, dtype=float).reshape(-1)
@@ -291,28 +188,13 @@ def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
     return out
 
 
-def _orthonormalize(cols: np.ndarray) -> np.ndarray:
-    # Modified Gram-Schmidt, two passes; columns are near-orthonormal already.
-    q = np.array(cols, copy=True)
-    for j in range(q.shape[1]):
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
-        nrm = float(np.linalg.norm(q[:, j]))
-        if nrm < 1e-6:
-            raise ConvergenceError("null-space candidate collapsed")
-        q[:, j] /= nrm
-    return q
-
-
 def null_space_onb(m) -> np.ndarray:
     """Orthonormal basis of the kernel of a full-row-rank d x n matrix.
 
-    Returns an n x (n - d) matrix whose columns u satisfy m @ u = 0.  The
-    basis comes from the eigendecomposition of the Gram matrix m* m; since
-    rank(m* m) <= d, the trailing n - d eigenvectors span the kernel.  A
-    projection refinement pass scrubs the eigensolver's residual so the
-    returned columns annihilate ``m`` to near machine precision.
+    Returns an n x (n - d) matrix whose columns u satisfy m @ u = 0: the
+    trailing n - d right singular vectors from one full SVD
+    m = U diag(sigma) V*, each with its first significant entry made real
+    positive.  Deterministic for a given input on one machine.
 
     Raises RankDeficient when the d-th singular value is at most
     1e-8 times the largest.
@@ -323,19 +205,7 @@ def null_space_onb(m) -> np.ndarray:
     d, n = arr.shape
     if d > n:
         raise RankDeficient(f"a {d} x {n} matrix cannot have row rank {d}")
-    gram = arr.conj().T @ arr
-    gram = (gram + gram.conj().T) / 2.0
-    w, v = eig_hermitian(gram)
-    if w[0] <= 0.0 or w[d - 1] <= (_RANK_FACTOR**2) * w[0]:
+    _, sigma, vh = np.linalg.svd(arr)
+    if d == 0 or sigma[d - 1] <= _RANK_FACTOR * sigma[0]:
         raise RankDeficient("matrix does not have full row rank")
-    if n == d:
-        return np.zeros((n, 0), dtype=arr.dtype)
-    cand = v[:, d:]
-    # Refinement: project onto ker(m) using the exact row-space projector.
-    rows = arr @ arr.conj().T
-    rows = (rows + rows.conj().T) / 2.0
-    wr, vr = eig_hermitian(rows)
-    inv = (vr / wr) @ vr.conj().T
-    cand = cand - arr.conj().T @ (inv @ (arr @ cand))
-    basis = _orthonormalize(cand)
-    return _fix_phases(basis)
+    return _fix_phases(vh[d:].conj().T)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core_linalg import HermitianPSD, null_space_onb
 from .errors import BadTrace, InsufficientCorank, NotSpanning
-from .frames import Frame, canonical_dual, frame_operator, frame_to_json
+from .frames import Frame, frame_operator, frame_to_json, inverse_operator
 from .majorization import DEFAULT_TOL, SpectrumVec
 from .spectra import NuBreakdown, minimizer_is_unique, nu
 
@@ -40,14 +40,6 @@ class DualResult:
     operator: HermitianPSD
     nu: SpectrumVec
     unique_S: bool
-
-
-def inverse_operator(frame: Frame) -> HermitianPSD:
-    """S_F^{-1}, assembled on the eigenbasis of the frame operator."""
-    if not frame.spanning:
-        raise NotSpanning("inverse frame operator needs a spanning frame")
-    op = frame_operator(frame)
-    return HermitianPSD.from_eigensystem(1.0 / op.eigenvalues.values, op.eigenvectors)
 
 
 def _checked_trace(lam: SpectrumVec, t: float) -> float:
@@ -98,7 +90,8 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     # summation-order residue would be amplified by the square root below
     mass[mass <= 1e-12 * (1.0 + abs(breakdown.c))] = 0.0
     h = sinv.eigenvectors
-    dual_analysis = canonical_dual(frame).analysis
+    # analysis matrix of the canonical dual S_F^{-1} F
+    dual_analysis = frame.analysis @ sinv.matrix
     if q > 0:
         kernel = null_space_onb(frame.synthesis)
         z = (kernel[:, :q] * np.sqrt(mass)) @ h[:, r_prime:].conj().T

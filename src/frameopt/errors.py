@@ -67,7 +67,3 @@ class Infeasible(FrameOptError):
 
 class InsufficientCorank(FrameOptError):
     """Null space too small for the requested rank-one perturbation."""
-
-
-class ConvergenceError(FrameOptError):
-    """Iterative kernel failed to reach its tolerance (should not happen)."""

@@ -92,18 +92,17 @@ def frame_bounds(frame: Frame):
     return float(w[-1]), float(w[0])
 
 
-def _inverse_matrix(op: HermitianPSD) -> np.ndarray:
-    w = op.eigenvalues.values
-    v = op.eigenvectors
-    return (v / w) @ v.conj().T
+def inverse_operator(frame: Frame) -> HermitianPSD:
+    """S_F^{-1}, assembled on the eigenbasis of the frame operator."""
+    if not frame.spanning:
+        raise NotSpanning("inverse frame operator needs a spanning frame")
+    op = frame.operator()
+    return HermitianPSD.from_eigensystem(1.0 / op.eigenvalues.values, op.eigenvectors)
 
 
 def canonical_dual(frame: Frame) -> Frame:
     """Frame whose vectors are S^{-1} f_i."""
-    if not frame.spanning:
-        raise NotSpanning("canonical dual needs a spanning frame")
-    sinv = _inverse_matrix(frame.operator())
-    return Frame(sinv @ frame.synthesis)
+    return Frame(inverse_operator(frame).matrix @ frame.synthesis)
 
 
 def duality_residual(frame: Frame, other: Frame) -> float:

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_linalg import HermitianPSD, givens_left
+from .core_linalg import HermitianPSD, _fix_phases, givens_left
 from .errors import NotMajorized, RankTooLarge
 from .majorization import DEFAULT_TOL, majorizes, sort_desc, spectrum_values
-
-_SIGN_TOL = 1e-8
 
 
 def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
@@ -102,15 +100,4 @@ def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray
     sigma[:p] = w[:p]
     u = unitary_for_diagonal(sigma, beta, tol)
     g = (b.eigenvectors[:, :p] * np.sqrt(sigma[:p])) @ u[:, :p].conj().T
-    for j in range(k):
-        col = g[:, j]
-        nrm = float(np.linalg.norm(col))
-        nz = np.flatnonzero(np.abs(col) > _SIGN_TOL * max(nrm, 1.0))
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        if np.iscomplexobj(g):
-            g[:, j] = col * (np.conj(pivot) / abs(pivot))
-        elif pivot < 0.0:
-            g[:, j] = -col
-    return g
+    return _fix_phases(g)

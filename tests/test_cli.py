@@ -61,6 +61,12 @@ class TestNu:
         assert code == 3
         assert "trace" in err
 
+    def test_bad_m_exit(self, capsys):
+        # m must be below d = 5; a bad rank bound is malformed input, not a bad trace
+        code, _, err = run(capsys, "nu", "--lambda", "9,5,4,2,1", "--m", "5", "--t", "26.5")
+        assert code == 2
+        assert err
+
     def test_parse_error_exit(self, capsys):
         code, _, err = run(capsys, "nu", "--lambda", "not-a-file", "--m", "3", "--t", "26.5")
         assert code == 2

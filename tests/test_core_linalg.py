@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frameopt import HermitianPSD, eig_hermitian, givens_left, null_space_onb
+from frameopt import Frame, HermitianPSD, eig_hermitian, givens_left, null_space_onb
+from frameopt.core_linalg import _fix_phases
 from frameopt.errors import (
     IndexOutOfRange,
     NotHermitian,
@@ -66,6 +67,63 @@ class TestEigHermitian:
             assert np.linalg.norm(a @ v - v * w) <= 1e-10 * scale
             # independent solver agrees on the spectrum
             assert np.allclose(w, np.linalg.eigvalsh(a)[::-1], atol=1e-9 * scale)
+
+
+def _random_unitary(rng, rows, cols, cplx):
+    z = rng.standard_normal((rows, cols))
+    if cplx:
+        z = z + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+def test_graded_operator_smallest_eigenvalue(rng, cplx, kappa):
+    # T = U diag(sigma) W has frame operator U diag(sigma^2) U*, so the
+    # smallest eigenvalue is known exactly; kappa = cond(S) = (s_max/s_min)^2
+    for d in (4, 9):
+        n = 2 * d
+        sigma = np.geomspace(1.0, kappa**-0.5, d)
+        u = _random_unitary(rng, d, d, cplx)
+        w = _random_unitary(rng, n, d, cplx).conj().T
+        op = Frame((u * sigma) @ w).operator()
+        smallest = op.eigenvalues.values[-1]
+        assert abs(smallest - sigma[-1] ** 2) <= 1e-9 * sigma[-1] ** 2
+
+
+def _fix_phases_loop(v):
+    # column-by-column reference for the vectorized _fix_phases
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        thresh = 1e-8 * max(float(np.linalg.norm(col)), 1.0)
+        nz = np.flatnonzero(np.abs(col) > thresh)
+        if nz.size == 0:
+            continue
+        pivot = col[nz[0]]
+        if np.iscomplexobj(v):
+            v[:, j] = col * (np.conj(pivot) / abs(pivot))
+            v[nz[0], j] = abs(pivot)
+        elif pivot < 0.0:
+            v[:, j] = -col
+    return v
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_fix_phases_matches_loop(rng, cplx):
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.standard_normal((6, 8))
+        if cplx:
+            v = v + 1j * scale * rng.standard_normal((6, 8))
+        v[:2, 1] = 0.0  # pivot further down
+        v[:3, 2] = 1e-12  # entries below the threshold are skipped
+        v[:, 3] = 0.0  # no pivot at all: column left as is
+        fast, ref = _fix_phases(v.copy()), _fix_phases_loop(v)
+        if cplx:
+            # the broadcast complex product may round differently in the last bit
+            assert np.all(np.abs(fast - ref) <= 4 * np.finfo(float).eps * np.abs(v))
+        else:
+            assert np.array_equal(fast, ref)
 
 
 class TestHermitianPSD:
@@ -159,17 +217,18 @@ class TestNullSpace:
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_random_full_rank(self, rng, cplx):
-        for _ in range(20):
+        for scale in np.repeat([1e-3, 1.0, 1e3], 20):
             d = int(rng.integers(1, 6))
-            n = int(rng.integers(d, d + 5))
+            n = int(rng.integers(d, 3 * d + 1))
             m = rng.standard_normal((d, n))
             if cplx:
                 m = m + 1j * rng.standard_normal((d, n))
+            m = scale * m
             basis = null_space_onb(m)
             assert basis.shape == (n, n - d)
             if n > d:
-                assert np.linalg.norm(m @ basis) <= 1e-9
-                assert np.linalg.norm(basis.conj().T @ basis - np.eye(n - d)) <= 1e-9
+                assert np.linalg.norm(m @ basis) <= 1e-12 * np.linalg.norm(m)
+                assert np.linalg.norm(basis.conj().T @ basis - np.eye(n - d)) <= 1e-12
 
     def test_rank_deficient_rejected(self):
         m = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
