@@ -127,7 +127,6 @@ __all__ = [
     "s_star_star",
     "sample_lambda_set",
     "sort_desc",
-    "spectra",
     "submajorizes",
     "tight_dual_exists",
     "trace_f",

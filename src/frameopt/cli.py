@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .completion import CompletionProblem, complete, completion_to_json, plan
+from .completion import CompletionProblem, complete, completion_to_json, lower_bounds, plan
 from .duals import DualProblem, dual_to_json, optimal_dual
 from .errors import (
     BadTrace,
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .frames import Frame, duality_residual, frame_from_json, potential
 from .majorization import PotentialKind
+from .spectra import nu
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -40,6 +41,18 @@ EXIT_NOT_SPANNING = 6
 
 class _ParseFailure(Exception):
     pass
+
+
+# Checked in order: the first matching exception type gives the exit code.
+_EXIT_CODES = (
+    (_ParseFailure, EXIT_PARSE),
+    (ValueError, EXIT_PARSE),
+    (BadTrace, EXIT_BAD_TRACE),
+    (RankDeficient, EXIT_RANK),
+    (NotSpanning, EXIT_NOT_SPANNING),
+    (SingularFrameOperator, EXIT_NOT_SPANNING),
+    (FrameOptError, EXIT_PARSE),
+)
 
 
 def _read_source(arg: str) -> str:
@@ -99,8 +112,7 @@ def _fmt_number(x) -> str:
     value = float(x)
     if math.isinf(value):
         return '"inf"' if value > 0 else '"-inf"'
-    out = format(value, ".12g")
-    return out
+    return format(value, ".12g")
 
 
 def _emit(obj) -> str:
@@ -123,9 +135,7 @@ def _print(obj) -> None:
 
 def _cmd_nu(args) -> int:
     lam = _load_spectrum(args.lam)
-    from .spectra import nu as nu_fn
-
-    breakdown = nu_fn(lam, args.m, args.t, args.tol)
+    breakdown = nu(lam, args.m, args.t, args.tol)
     _print(
         {
             "r": breakdown.r,
@@ -139,27 +149,28 @@ def _cmd_nu(args) -> int:
     return EXIT_OK
 
 
-def _cmd_complete(args, stop_after_plan: bool) -> int:
-    frame = _load_frame(args.frame)
-    beta = _parse_reals(args.beta)
-    problem = CompletionProblem(frame, beta)
-    if stop_after_plan:
-        the_plan = plan(problem, args.tol)
-        from .completion import _bounds_dict
+def _completion_problem(args) -> CompletionProblem:
+    return CompletionProblem(_load_frame(args.frame), _parse_reals(args.beta))
 
-        _print(
-            {
-                "feasible": the_plan.feasible,
-                "nu": [float(x) for x in the_plan.nu.values],
-                "unique_B": the_plan.unique_B,
-                "r_hat": the_plan.r_hat,
-                "c_hat": the_plan.c_hat,
-                "mu_hat": [float(x) for x in the_plan.mu_hat],
-                "lower_bounds": _bounds_dict(the_plan.nu),
-            }
-        )
-        return EXIT_OK if the_plan.feasible else EXIT_INFEASIBLE
-    result = complete(problem, args.tol)
+
+def _cmd_feasible(args) -> int:
+    the_plan = plan(_completion_problem(args), args.tol)
+    _print(
+        {
+            "feasible": the_plan.feasible,
+            "nu": [float(x) for x in the_plan.nu.values],
+            "unique_B": the_plan.unique_B,
+            "r_hat": the_plan.r_hat,
+            "c_hat": the_plan.c_hat,
+            "mu_hat": [float(x) for x in the_plan.mu_hat],
+            "lower_bounds": lower_bounds(the_plan.nu),
+        }
+    )
+    return EXIT_OK if the_plan.feasible else EXIT_INFEASIBLE
+
+
+def _cmd_complete(args) -> int:
+    result = complete(_completion_problem(args), args.tol)
     _print(completion_to_json(result))
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
@@ -200,12 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_nu.add_argument("--m", type=int, required=True, help="rank bound parameter (< d)")
     p_nu.add_argument("--t", type=float, required=True, help="trace target (>= tr lambda)")
     p_nu.add_argument("--tol", type=float, default=1e-9)
+    p_nu.set_defaults(handler=_cmd_nu)
 
-    for name, help_text in (
-        ("complete", "optimal completion with prescribed squared norms"),
-        ("feasible", "feasibility analysis only (stops after the plan)"),
+    for name, help_text, handler in (
+        ("complete", "optimal completion with prescribed squared norms", _cmd_complete),
+        ("feasible", "feasibility analysis only (stops after the plan)", _cmd_feasible),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--frame", required=True, help="initial frame JSON (path or -)")
         p.add_argument("--beta", required=True,
                        help="prescribed squared norms, comma-separated")
@@ -215,55 +228,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--frame", required=True, help="frame JSON (path or -)")
     p_dual.add_argument("--t", type=float, required=True, help="trace lower bound")
     p_dual.add_argument("--tol", type=float, default=1e-9)
+    p_dual.set_defaults(handler=_cmd_dual)
 
     p_check = sub.add_parser("check-dual", help="test whether two frames are dual")
     p_check.add_argument("--frame", required=True)
     p_check.add_argument("--dual", required=True)
     p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.set_defaults(handler=_cmd_check_dual)
 
     p_pot = sub.add_parser("potential", help="convex potential of a frame")
     p_pot.add_argument("--frame", required=True)
     p_pot.add_argument("--kind", required=True, choices=["fp", "mse", "xlogx"])
+    p_pot.set_defaults(handler=_cmd_potential)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "nu":
-            return _cmd_nu(args)
-        if args.command == "complete":
-            return _cmd_complete(args, stop_after_plan=False)
-        if args.command == "feasible":
-            return _cmd_complete(args, stop_after_plan=True)
-        if args.command == "dual":
-            return _cmd_dual(args)
-        if args.command == "check-dual":
-            return _cmd_check_dual(args)
-        if args.command == "potential":
-            return _cmd_potential(args)
-        parser.error(f"unknown command {args.command!r}")
-    except _ParseFailure as exc:
+        return args.handler(args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"frameopt: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"frameopt: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BadTrace as exc:
-        print(f"frameopt: {exc}", file=sys.stderr)
-        return EXIT_BAD_TRACE
-    except RankDeficient as exc:
-        print(f"frameopt: {exc}", file=sys.stderr)
-        return EXIT_RANK
-    except (NotSpanning, SingularFrameOperator) as exc:
-        print(f"frameopt: {exc}", file=sys.stderr)
-        return EXIT_NOT_SPANNING
-    except FrameOptError as exc:
-        print(f"frameopt: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return EXIT_OK
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entry() -> None:

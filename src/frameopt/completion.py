@@ -99,17 +99,13 @@ def plan(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionPlan
     if psd_rank(lam) < d - k:
         raise RankDeficient(f"rank(S_F0) must be at least d - k = {d - k}")
     breakdown = nu(lam, m, problem.t, tol)
-    r_hat = max(breakdown.r, m) if m >= 1 else breakdown.r
-    mu_hat = breakdown.c - lam.values[r_hat:]
-    if np.any(mu_hat < -tol * (1.0 + abs(breakdown.c))):
-        raise ArithmeticError("gap vector came out negative")
-    mu_hat = np.maximum(mu_hat, 0.0)
+    mu_hat = breakdown.increment
     padded = np.zeros(k)
     padded[: mu_hat.size] = sort_desc(mu_hat)[:k]
     feasible = majorizes(padded, sort_desc(problem.beta), tol)
     unique = minimizer_is_unique(lam, m, problem.t, tol)
     return CompletionPlan(
-        r_hat=r_hat,
+        r_hat=breakdown.kept,
         c_hat=breakdown.c,
         mu_hat=mu_hat,
         nu=breakdown.nu,
@@ -144,7 +140,8 @@ def lower_bound(nu_spectrum, kind: PotentialKind) -> float:
     return trace_f(nu_spectrum, kind)
 
 
-def _bounds_dict(nu_spectrum: SpectrumVec) -> dict:
+def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
+    """Frame-potential and mean-square-error bounds; MSE is inf when singular."""
     bounds = {"fp": lower_bound(nu_spectrum, PotentialKind.FRAME_POTENTIAL)}
     try:
         bounds["mse"] = lower_bound(nu_spectrum, PotentialKind.MEAN_SQUARE_ERROR)
@@ -156,25 +153,16 @@ def _bounds_dict(nu_spectrum: SpectrumVec) -> dict:
 def complete(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionResult:
     """Solve the completion problem; infeasibility is a result, not an error."""
     completion_plan = plan(problem, tol)
-    bounds = _bounds_dict(completion_plan.nu)
-    if not completion_plan.feasible:
-        return CompletionResult(
-            feasible=False,
-            nu=completion_plan.nu,
-            unique_B=completion_plan.unique_B,
-            added=None,
-            completed=None,
-            plan=completion_plan,
-            lower_bounds=bounds,
-        )
-    s0 = frame_operator(problem.initial)
-    b = optimal_B(s0, completion_plan)
-    added = realize_frame(b, problem.beta, tol)
-    synth = problem.initial.synthesis
-    dtype = np.result_type(synth.dtype, added.dtype)
-    completed = Frame(np.hstack([synth.astype(dtype), added.astype(dtype)]))
+    bounds = lower_bounds(completion_plan.nu)
+    added = completed = None
+    if completion_plan.feasible:
+        s0 = frame_operator(problem.initial)
+        added = realize_frame(optimal_B(s0, completion_plan), problem.beta, tol)
+        synth = problem.initial.synthesis
+        dtype = np.result_type(synth.dtype, added.dtype)
+        completed = Frame(np.hstack([synth.astype(dtype), added.astype(dtype)]))
     return CompletionResult(
-        feasible=True,
+        feasible=completion_plan.feasible,
         nu=completion_plan.nu,
         unique_B=completion_plan.unique_B,
         added=added,

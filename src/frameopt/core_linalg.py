@@ -32,10 +32,6 @@ _RANK_FACTOR = 1e-8
 _SIGN_TOL = 1e-8
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def _check_square(a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -42,28 +42,26 @@ class DualResult:
     unique_S: bool
 
 
-def _checked_trace(lam: SpectrumVec, t: float) -> float:
-    t0 = lam.trace()
-    if t < t0 - 1e-9:
-        raise BadTrace(
-            f"trace bound {t} is below tr(S_F^-1) = {t0}; the constraint would be vacuous"
-        )
-    return max(float(t), t0)
-
-
-def _check_redundancy(frame: Frame) -> None:
-    if frame.n <= frame.d:
+def _solve_spectrum(problem: DualProblem, tol: float):
+    """S_F^{-1}, the clamped trace bound and the minimal spectrum."""
+    if problem.frame.n <= problem.frame.d:
         raise InsufficientCorank(
             "a basis has no redundancy: its only dual is the canonical dual"
         )
+    sinv = inverse_operator(problem.frame)
+    t0 = sinv.eigenvalues.trace()
+    if problem.t < t0 - 1e-9:
+        raise BadTrace(
+            f"trace bound {problem.t} is below tr(S_F^-1) = {t0}; "
+            "the constraint would be vacuous"
+        )
+    t = max(float(problem.t), t0)
+    return sinv, t, nu(sinv.eigenvalues, problem.m, t, tol)
 
 
 def optimal_dual_spectrum(problem: DualProblem, tol: float = DEFAULT_TOL) -> NuBreakdown:
     """Minimal dual-operator spectrum among duals with trace at least t."""
-    _check_redundancy(problem.frame)
-    sinv = inverse_operator(problem.frame)
-    t = _checked_trace(sinv.eigenvalues, problem.t)
-    return nu(sinv.eigenvalues, problem.m, t, tol)
+    return _solve_spectrum(problem, tol)[2]
 
 
 def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
@@ -72,38 +70,35 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     The construction adds, on top of the canonical dual's analysis matrix,
     a block Z = sum_i sqrt(mass_i) u_i h_i* that maps the trailing
     eigenvectors h_i of S_F^{-1} onto orthonormal kernel directions u_i of
-    the synthesis, so S_W = S_F^{-1} + Z*Z and duality is untouched.
+    the synthesis, so S_W = S_F^{-1} + Z*Z and duality is untouched.  The
+    masses are the increment of the minimal spectrum, as in completion.
     """
     frame = problem.frame
-    _check_redundancy(frame)
+    sinv, t, breakdown = _solve_spectrum(problem, tol)
     d, n = frame.d, frame.n
-    m = problem.m
-    sinv = inverse_operator(frame)
     lam = sinv.eigenvalues
-    t = _checked_trace(lam, problem.t)
-    breakdown = nu(lam, m, t, tol)
-    r_prime = max(breakdown.r, m) if m >= 1 else breakdown.r
-    q = d - r_prime
+    kept = breakdown.kept
+    q = d - kept
     if q > n - d:
         raise InsufficientCorank(f"need {q} kernel directions, frame offers {n - d}")
-    mass = np.maximum(breakdown.c - lam.values[r_prime:], 0.0)
     # summation-order residue would be amplified by the square root below
-    mass[mass <= 1e-12 * (1.0 + abs(breakdown.c))] = 0.0
+    mass = breakdown.increment
+    mass = np.where(mass <= 1e-12 * (1.0 + abs(breakdown.c)), 0.0, mass)
     h = sinv.eigenvectors
     # analysis matrix of the canonical dual S_F^{-1} F
     dual_analysis = frame.analysis @ sinv.matrix
     if q > 0:
         kernel = null_space_onb(frame.synthesis)
-        z = (kernel[:, :q] * np.sqrt(mass)) @ h[:, r_prime:].conj().T
+        z = (kernel[:, :q] * np.sqrt(mass)) @ h[:, kept:].conj().T
         dual_analysis = dual_analysis + z
     operator = HermitianPSD.from_eigensystem(
-        np.concatenate((lam.values[:r_prime], np.full(q, breakdown.c))), h
+        np.concatenate((lam.values[:kept], np.full(q, breakdown.c))), h
     )
     return DualResult(
         dual=Frame(dual_analysis.conj().T),
         operator=operator,
         nu=breakdown.nu,
-        unique_S=minimizer_is_unique(lam, m, t, tol),
+        unique_S=minimizer_is_unique(lam, problem.m, t, tol),
     )
 
 

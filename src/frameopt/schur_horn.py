@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_linalg import HermitianPSD, _fix_phases, givens_left
+from .core_linalg import HermitianPSD, _fix_phases, givens_left, psd_rank
 from .errors import NotMajorized, RankTooLarge
 from .majorization import DEFAULT_TOL, majorizes, sort_desc, spectrum_values
 
@@ -92,7 +92,7 @@ def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray
         raise ValueError("squared norms must be strictly positive")
     w = b.eigenvalues.values
     d = b.dim
-    rank = int(np.count_nonzero(w > 1e-10 * (1.0 + w[0])))
+    rank = psd_rank(w)
     if rank > k:
         raise RankTooLarge(f"rank {rank} operator cannot be carried by {k} vectors")
     p = min(d, k)

@@ -10,10 +10,12 @@ reachable spectra is
 This module computes the unique spectrum ``nu`` in that set which is
 minimal for submajorization.  It has a waterfilling shape: the trailing
 eigenvalues are raised to a common level ``c`` while at most the top ``r``
-entries of ``lam`` survive unchanged.  ``irregularity`` finds that cutoff
-``r``, ``c_lambda`` the level, and ``s_star`` / ``s_star_star`` the trace
-thresholds where the rank bound starts to bite and where the level passes
-the top of the spectrum.
+entries of ``lam`` survive unchanged.  One private kernel, ``_waterfill``,
+computes the cutoff ``r`` and the level ``c`` for a batch of traces; every
+public function validates its inputs once (spectrum, ``m``, trace) and then
+calls it.  ``irregularity`` and ``c_lambda`` are its ``m = 0`` cases, and
+``s_star`` / ``s_star_star`` are the trace thresholds where the rank bound
+starts to bite and where the level passes the top of the spectrum.
 """
 
 from __future__ import annotations
@@ -41,7 +43,14 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class NuBreakdown:
-    """Minimal spectrum at trace t together with its building blocks."""
+    """Minimal spectrum at trace t together with its building blocks.
+
+    ``kept`` is r' = max(r, m): the top ``kept`` entries of ``lam`` stay as
+    they are.  ``increment`` holds the masses c - lam_i, i > kept (clamped
+    at 0, read-only), that both solvers place on the trailing ``d - kept``
+    eigenvectors: completion factors them into vectors of prescribed norms,
+    the optimal dual into orthonormal kernel directions.
+    """
 
     r: int
     c: float
@@ -49,6 +58,8 @@ class NuBreakdown:
     s_star_star: float | None
     nu: SpectrumVec
     regime: Regime
+    kept: int
+    increment: np.ndarray
 
 
 def _clamped_trace(values: np.ndarray, t, tol: float):
@@ -58,6 +69,67 @@ def _clamped_trace(values: np.ndarray, t, tol: float):
     if np.any(t_arr < t0 - tol):
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
     return np.maximum(t_arr, t0)
+
+
+def _check_m(values: np.ndarray, m) -> int:
+    if not isinstance(m, (int, np.integer)):
+        raise BadM("m must be an integer")
+    if m >= values.size:
+        raise BadM(f"m must be smaller than d = {values.size}")
+    return int(m)
+
+
+def _thresholds(values: np.ndarray, m: int) -> tuple[float, float]:
+    """(s*, s**) for a validated spectrum and 1 <= m < d."""
+    head, tail = values[:m].sum(), values.size - m
+    return float(head + tail * values[m - 1]), float(tail * values[0] + head)
+
+
+def _checked_thresholds(lam, m) -> tuple[float, float]:
+    values = spectrum_values(lam)
+    mm = _check_m(values, m)
+    if mm < 1:
+        raise BadM("m must be at least 1")
+    return _thresholds(values, mm)
+
+
+def _waterfill(values: np.ndarray, m: int, tt: np.ndarray):
+    """Cutoff r and level c at each trace of ``tt`` (1-d, already clamped).
+
+    For m >= 1, past s* the level rises from lam_m and the cutoff is the
+    first entry at or below it.  The last row of each test holds exactly
+    (t >= tr(lam) gives p(d-1, t) >= lam_d, and c >= lam_d), so it is set
+    true rather than left to rounding.
+    """
+    d = values.size
+    prefix = np.concatenate(([0.0], np.cumsum(values)))[:d]
+    denom = (d - np.arange(d)).astype(float)
+    levels = (tt[None, :] - prefix[:, None]) / denom[:, None]
+    fits = levels >= values[:, None] - TIE_SLACK
+    fits[-1] = True
+    r = np.argmax(fits, axis=0)
+    c = levels[r, np.arange(tt.size)]
+    if m >= 1:
+        sst = _thresholds(values, m)[0]
+        c = np.where(tt <= sst, c, values[m - 1] + (tt - sst) / (d - m))
+        below = values[:, None] <= c[None, :] + TIE_SLACK
+        below[-1] = True
+        r = np.argmax(below, axis=0)
+    return r, c
+
+
+def _solve(lam, m, t, tol: float):
+    values = spectrum_values(lam)
+    mm = _check_m(values, m)
+    tt = _clamped_trace(values, t, tol)
+    return _waterfill(values, mm, tt.reshape(-1))
+
+
+def _shaped_like(x: np.ndarray, t, scalar):
+    """``scalar(x[0])`` for a scalar trace, else ``x`` in the shape of ``t``."""
+    if np.ndim(t) == 0:
+        return scalar(x[0])
+    return x.reshape(np.shape(t))
 
 
 def p_lambda(lam, r: int, t) -> float:
@@ -70,90 +142,38 @@ def p_lambda(lam, r: int, t) -> float:
     return (np.asarray(t, dtype=float) - head) / (d - r)
 
 
-def _r_lambda(values: np.ndarray, tt: np.ndarray) -> np.ndarray:
-    d = values.size
-    prefix = np.concatenate(([0.0], np.cumsum(values)))[:d]
-    denom = (d - np.arange(d)).astype(float)
-    levels = (tt[None, ...] - prefix.reshape((d,) + (1,) * tt.ndim)) / denom.reshape(
-        (d,) + (1,) * tt.ndim
-    )
-    cond = levels >= values.reshape((d,) + (1,) * tt.ndim) - TIE_SLACK
-    return np.argmax(cond, axis=0)
-
-
 def irregularity(lam, t, tol: float = DEFAULT_TOL):
     """Smallest r such that the waterfilling level p(r, t) clears lam_{r+1}.
 
     Equals 0 once t >= d * lam_1.  Accepts a scalar trace or an array of
     traces (an array comes back for an array).
     """
-    values = spectrum_values(lam)
-    tt = _clamped_trace(values, t, tol)
-    r = _r_lambda(values, np.atleast_1d(tt))
-    return int(r[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else r.reshape(np.shape(t))
+    return r_lambda_m(lam, 0, t, tol)
 
 
 def c_lambda(lam, t, tol: float = DEFAULT_TOL):
     """Waterfilling level p(r_lambda(t), t); strictly increasing in t."""
-    values = spectrum_values(lam)
-    d = values.size
-    tt = np.atleast_1d(_clamped_trace(values, t, tol))
-    r = _r_lambda(values, tt)
-    prefix = np.concatenate(([0.0], np.cumsum(values)))
-    c = (tt - prefix[r]) / (d - r)
-    return float(c[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else c.reshape(np.shape(t))
-
-
-def _check_m(values: np.ndarray, m) -> int:
-    if not isinstance(m, (int, np.integer)):
-        raise BadM("m must be an integer")
-    if m >= values.size:
-        raise BadM(f"m must be smaller than d = {values.size}")
-    return int(m)
+    return c_lambda_m(lam, 0, t, tol)
 
 
 def s_star(lam, m: int) -> float:
     """Trace at which the waterfilling level reaches lam_m."""
-    values = spectrum_values(lam)
-    mm = _check_m(values, m)
-    if mm < 1:
-        raise BadM("m must be at least 1")
-    return float(values[:mm].sum() + (values.size - mm) * values[mm - 1])
+    return _checked_thresholds(lam, m)[0]
 
 
 def s_star_star(lam, m: int) -> float:
     """Trace at which the rank-limited level reaches lam_1."""
-    values = spectrum_values(lam)
-    mm = _check_m(values, m)
-    if mm < 1:
-        raise BadM("m must be at least 1")
-    return float((values.size - mm) * values[0] + values[:mm].sum())
+    return _checked_thresholds(lam, m)[1]
 
 
 def c_lambda_m(lam, m: int, t, tol: float = DEFAULT_TOL):
     """Waterfilling level under a rank-(d-m) budget for the added mass."""
-    values = spectrum_values(lam)
-    mm = _check_m(values, m)
-    if mm <= 0:
-        return c_lambda(values, t, tol)
-    tt = np.atleast_1d(_clamped_trace(values, t, tol))
-    sst = s_star(values, mm)
-    base = np.atleast_1d(c_lambda(values, tt, tol))
-    shifted = values[mm - 1] + (tt - sst) / (values.size - mm)
-    c = np.where(tt <= sst, base, shifted)
-    return float(c[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else c.reshape(np.shape(t))
+    return _shaped_like(_solve(lam, m, t, tol)[1], t, float)
 
 
 def r_lambda_m(lam, m: int, t, tol: float = DEFAULT_TOL):
     """Smallest r with lam_{r+1} <= the rank-limited waterfilling level."""
-    values = spectrum_values(lam)
-    mm = _check_m(values, m)
-    if mm <= 0:
-        return irregularity(values, t, tol)
-    c = np.atleast_1d(c_lambda_m(values, mm, t, tol))
-    cond = values.reshape((values.size,) + (1,) * c.ndim) <= c[None, ...] + TIE_SLACK
-    r = np.argmax(cond, axis=0)
-    return int(r[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else r.reshape(np.shape(t))
+    return _shaped_like(_solve(lam, m, t, tol)[0], t, int)
 
 
 def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
@@ -164,31 +184,37 @@ def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
     at the capped positions is the caller's membership question.
     """
     values = spectrum_values(lam)
+    return _nu(values, _check_m(values, m), t, tol)
+
+
+def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
     d = values.size
-    mm = _check_m(values, m)
-    tt = float(_clamped_trace(values, np.float64(t), tol))
-    c = float(c_lambda_m(values, mm, tt, tol))
-    r = int(r_lambda_m(values, mm, tt, tol))
-    if mm <= 0:
-        sst = sstst = None
-        regime = Regime.AT_OR_BELOW_S_STAR
-        vec = np.concatenate((values[:r], np.full(d - r, c)))
+    t = float(_clamped_trace(values, np.float64(t), tol))
+    r_arr, c_arr = _waterfill(values, m, np.array([t]))
+    r, c = int(r_arr[0]), float(c_arr[0])
+    sst = sstst = None
+    regime = Regime.AT_OR_BELOW_S_STAR
+    if m >= 1:
+        sst, sstst = _thresholds(values, m)
+        if t > sst:
+            regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
+    if regime is Regime.AT_OR_ABOVE_S_STAR_STAR:
+        vec = np.concatenate((np.full(d - m, c), values[:m]))
+    elif regime is Regime.BETWEEN:
+        vec = np.concatenate((values[:r], np.full(d - m, c), values[r:m]))
     else:
-        sst = s_star(values, mm)
-        sstst = s_star_star(values, mm)
-        if tt <= sst:
-            regime = Regime.AT_OR_BELOW_S_STAR
-            vec = np.concatenate((values[:r], np.full(d - r, c)))
-        elif tt >= sstst:
-            regime = Regime.AT_OR_ABOVE_S_STAR_STAR
-            vec = np.concatenate((np.full(d - mm, c), values[:mm]))
-        else:
-            regime = Regime.BETWEEN
-            vec = np.concatenate((values[:r], np.full(d - mm, c), values[r:mm]))
+        vec = np.concatenate((values[:r], np.full(d - r, c)))
     spectrum = SpectrumVec(vec)
-    if abs(spectrum.trace() - tt) > 1e-9 * (1.0 + abs(tt)):
+    if abs(spectrum.trace() - t) > 1e-9 * (1.0 + abs(t)):
         raise ArithmeticError("assembled spectrum lost trace mass")
-    return NuBreakdown(r=r, c=c, s_star=sst, s_star_star=sstst, nu=spectrum, regime=regime)
+    kept = max(r, m)
+    increment = c - values[kept:]
+    if np.any(increment < -tol * (1.0 + abs(c))):
+        raise ArithmeticError("gap vector came out negative")
+    increment = np.maximum(increment, 0.0)
+    increment.flags.writeable = False
+    return NuBreakdown(r=r, c=c, s_star=sst, s_star_star=sstst, nu=spectrum, regime=regime,
+                       kept=kept, increment=increment)
 
 
 def minimizer_is_unique(lam, m: int, t, tol: float = DEFAULT_TOL) -> bool:
@@ -205,7 +231,17 @@ def minimizer_is_unique(lam, m: int, t, tol: float = DEFAULT_TOL) -> bool:
     tie = tol * (1.0 + float(values[0]))
     if values[mm - 1] - values[mm] > tie:
         return True
-    return float(t) <= s_star(values, mm) + tie
+    return float(t) <= _thresholds(values, mm)[0] + tie
+
+
+def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray, tol: float) -> bool:
+    if not np.all(mu_v >= values - tol):
+        return False
+    if mu_v.sum() < float(t) - tol:
+        return False
+    if m >= 1 and not np.all(mu_v[values.size - m :] <= values[:m] + tol):
+        return False
+    return True
 
 
 def in_lambda_set(lam, m: int, t, mu, tol: float = DEFAULT_TOL) -> bool:
@@ -219,14 +255,7 @@ def in_lambda_set(lam, m: int, t, mu, tol: float = DEFAULT_TOL) -> bool:
     mu_v = np.asarray(getattr(mu, "values", mu), dtype=float).reshape(-1)
     if mu_v.size != values.size:
         raise LengthMismatch(f"lengths differ: {mu_v.size} vs {values.size}")
-    mu_v = spectrum_values(mu_v)
-    if not np.all(mu_v >= values - tol):
-        return False
-    if mu_v.sum() < float(t) - tol:
-        return False
-    if mm >= 1 and not np.all(mu_v[values.size - mm :] <= values[:mm] + tol):
-        return False
-    return True
+    return _is_member(values, mm, t, spectrum_values(mu_v), tol)
 
 
 def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> SpectrumVec:
@@ -239,12 +268,13 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     """
     values = spectrum_values(lam)
     mm = _check_m(values, m)
-    base = nu(values, mm, t).nu.values
+    minimal = _nu(values, mm, t, DEFAULT_TOL).nu
+    base = minimal.values
     d = values.size
     if scale is None:
         scale = 0.25 * (1.0 + float(values[0]))
     if scale == 0.0:
-        return SpectrumVec(base)
+        return minimal
     rng = np.random.default_rng(rng_seed)
     cap = np.full(d, np.inf)
     if mm >= 1:
@@ -254,6 +284,7 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     for j in range(d - 1, -1, -1):
         lower = base[j] if j == d - 1 else max(base[j], out[j + 1])
         out[j] = min(cap[j], lower + draw[j])
-    if not in_lambda_set(values, mm, t, out):
-        return SpectrumVec(base)
-    return SpectrumVec(out)
+    sample = SpectrumVec(out)
+    if not _is_member(values, mm, t, sample.values, DEFAULT_TOL):
+        return minimal
+    return sample

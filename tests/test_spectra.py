@@ -202,6 +202,67 @@ class TestNu:
         with pytest.raises(BadM):
             nu(LAM_A, 5, 30.0)
 
+    def test_base_trace_returns_lambda_at_every_scale(self, rng):
+        # rounding in the cumulative sums once failed every cutoff test at
+        # large scales, which gave r = 0 and c = t / d
+        for _ in range(300):
+            d = int(rng.integers(1, 12))
+            lam = random_spectrum(rng, d) * 10.0 ** rng.uniform(-6.0, 6.0)
+            m = int(rng.integers(-2, d))
+            got = nu(lam, m, float(lam.sum())).nu.values
+            assert np.max(np.abs(got - lam)) <= 1e-10 * lam[0]
+
+    def test_increment_certificate(self, rng):
+        for _ in range(300):
+            d = int(rng.integers(1, 10))
+            lam = random_spectrum(rng, d) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if rng.random() < 0.3:
+                lam = np.sort(rng.choice(lam, size=d))[::-1]
+            m = int(rng.integers(-2, d))
+            t = float(lam.sum() + rng.uniform(0.0, 3.0 * d) * lam[0])
+            b = nu(lam, m, t)
+            assert b.kept == max(b.r, m)
+            assert b.increment.shape == (d - b.kept,)
+            assert np.all(b.increment >= 0.0)
+            raised = np.concatenate((lam[: b.kept], lam[b.kept :] + b.increment))
+            assert np.max(np.abs(np.sort(raised)[::-1] - b.nu.values)) <= 1e-9 * b.nu.values[0]
+
+
+def _grid_cases(rng):
+    for _ in range(40):
+        d = int(rng.integers(1, 9))
+        lam = random_spectrum(rng, d)
+        if rng.random() < 0.3:
+            lam = np.sort(rng.choice(lam, size=d))[::-1]
+        m = int(rng.integers(-2, d))
+        top = float(lam.sum() + 2.0 * d * lam[0])
+        yield lam, m, np.linspace(float(lam.sum()), top, 12)
+
+
+@pytest.mark.parametrize(
+    "fn, kind",
+    [
+        (lambda lam, m, t: irregularity(lam, t), int),
+        (lambda lam, m, t: c_lambda(lam, t), float),
+        (r_lambda_m, int),
+        (c_lambda_m, float),
+    ],
+    ids=["irregularity", "c_lambda", "r_lambda_m", "c_lambda_m"],
+)
+def test_array_traces_match_scalar_calls(rng, fn, kind):
+    for lam, m, grid in _grid_cases(rng):
+        scalars = [fn(lam, m, float(t)) for t in grid]
+        assert all(type(x) is kind for x in scalars)
+        assert type(fn(lam, m, np.float64(grid[3]))) is kind
+        zero_d = fn(lam, m, np.array(grid[5]))
+        assert type(zero_d) is kind and zero_d == scalars[5]
+        flat = fn(lam, m, grid)
+        assert flat.shape == grid.shape
+        assert flat.tolist() == scalars
+        square = fn(lam, m, grid.reshape(3, 4))
+        assert square.shape == (3, 4)
+        assert square.ravel().tolist() == scalars
+
 
 class TestMembership:
     def test_simple_member(self):
