@@ -28,7 +28,7 @@ from .errors import (
     SingularFrameOperator,
 )
 from .frames import Frame, duality_residual, frame_from_json, potential
-from .majorization import PotentialKind
+from .majorization import DEFAULT_TOL, PotentialKind
 from .spectra import nu
 
 EXIT_OK = 0
@@ -37,6 +37,7 @@ EXIT_BAD_TRACE = 3
 EXIT_INFEASIBLE = 4
 EXIT_RANK = 5
 EXIT_NOT_SPANNING = 6
+_RELATIVE_TOL = "relative tolerance, scaled by the problem's trace (default %(default)s)"
 
 
 class _ParseFailure(Exception):
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="base spectrum: inline comma list, file path, or -")
     p_nu.add_argument("--m", type=int, required=True, help="rank bound parameter (< d)")
     p_nu.add_argument("--t", type=float, required=True, help="trace target (>= tr lambda)")
-    p_nu.add_argument("--tol", type=float, default=1e-9)
+    p_nu.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_RELATIVE_TOL)
     p_nu.set_defaults(handler=_cmd_nu)
 
     for name, help_text, handler in (
@@ -222,18 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--frame", required=True, help="initial frame JSON (path or -)")
         p.add_argument("--beta", required=True,
                        help="prescribed squared norms, comma-separated")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_RELATIVE_TOL)
 
     p_dual = sub.add_parser("dual", help="optimal dual with operator trace >= t")
     p_dual.add_argument("--frame", required=True, help="frame JSON (path or -)")
     p_dual.add_argument("--t", type=float, required=True, help="trace lower bound")
-    p_dual.add_argument("--tol", type=float, default=1e-9)
+    p_dual.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_RELATIVE_TOL)
     p_dual.set_defaults(handler=_cmd_dual)
 
     p_check = sub.add_parser("check-dual", help="test whether two frames are dual")
     p_check.add_argument("--frame", required=True)
     p_check.add_argument("--dual", required=True)
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help="absolute bound on the dimensionless duality residual")
     p_check.set_defaults(handler=_cmd_check_dual)
 
     p_pot = sub.add_parser("potential", help="convex potential of a frame")

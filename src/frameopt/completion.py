@@ -90,20 +90,21 @@ class CompletionResult:
 def plan(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionPlan:
     """Compute the optimal target spectrum and test feasibility.
 
-    Raises RankDeficient when rank(S_F0) < d - k, which no completion by k
+    ``tol`` is relative; the majorization test gets tol * t, t the completed
+    trace.  Raises RankDeficient when rank(S_F0) < d - k, which no completion by k
     vectors can repair.
     """
     s0 = frame_operator(problem.initial)
     lam = s0.eigenvalues
-    d, k, m = problem.d, problem.k, problem.m
+    d, k, m, t = problem.d, problem.k, problem.m, problem.t
     if psd_rank(lam) < d - k:
         raise RankDeficient(f"rank(S_F0) must be at least d - k = {d - k}")
-    breakdown = nu(lam, m, problem.t, tol)
+    breakdown = nu(lam, m, t, tol)
     mu_hat = breakdown.increment
     padded = np.zeros(k)
     padded[: mu_hat.size] = sort_desc(mu_hat)[:k]
-    feasible = majorizes(padded, sort_desc(problem.beta), tol)
-    unique = minimizer_is_unique(lam, m, problem.t, tol)
+    feasible = majorizes(padded, sort_desc(problem.beta), tol * t)
+    unique = minimizer_is_unique(lam, m, t, tol)
     return CompletionPlan(
         r_hat=breakdown.kept,
         c_hat=breakdown.c,
@@ -151,13 +152,16 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
 
 
 def complete(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionResult:
-    """Solve the completion problem; infeasibility is a result, not an error."""
+    """Solve the completion problem; infeasibility is a result, not an error.
+
+    ``tol`` is relative, as in ``plan``; Schur-Horn gets tol * t.
+    """
     completion_plan = plan(problem, tol)
     bounds = lower_bounds(completion_plan.nu)
     added = completed = None
     if completion_plan.feasible:
         s0 = frame_operator(problem.initial)
-        added = realize_frame(optimal_B(s0, completion_plan), problem.beta, tol)
+        added = realize_frame(optimal_B(s0, completion_plan), problem.beta, tol * problem.t)
         synth = problem.initial.synthesis
         dtype = np.result_type(synth.dtype, added.dtype)
         completed = Frame(np.hstack([synth.astype(dtype), added.astype(dtype)]))

@@ -18,18 +18,7 @@ from .errors import (
     NotPositiveSemidefinite,
     RankDeficient,
 )
-from .majorization import SpectrumVec
-
-# Symmetry and reconstruction tolerances, relative to (1 + ||A||_F).
-_SYM_FACTOR = 1e-10
-_PSD_FACTOR = 1e-10
-
-# Relative singular-value cutoff for row-rank decisions.
-_RANK_FACTOR = 1e-8
-
-# Entries at most this fraction of max(||column||, 1) are skipped when
-# picking the pivot that fixes a column's phase.
-_SIGN_TOL = 1e-8
+from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec
 
 
 def _check_square(a) -> np.ndarray:
@@ -47,12 +36,13 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make each column's first significant entry real positive, in place.
 
     An entry is significant when its modulus exceeds
-    ``_SIGN_TOL * max(||column||, 1)``; columns with none are left as is.
+    ``GATE_TOL * max(||column||, 1)``; columns with none are left as is.
     """
     if v.size == 0:
         return v
     mag = np.abs(v)
-    mask = mag > _SIGN_TOL * np.maximum(np.linalg.norm(v, axis=0), 1.0)
+    # max(||col||, 1) is kept: test_fix_phases_matches_loop pins this rule
+    mask = mag > GATE_TOL * np.maximum(np.linalg.norm(v, axis=0), 1.0)
     cols = np.flatnonzero(mask.any(axis=0))
     rows = mask[:, cols].argmax(axis=0)
     pivot = v[rows, cols]
@@ -76,12 +66,10 @@ def eig_hermitian(a):
     Real input yields real output.
 
     Raises NotHermitian when ``a`` differs from its adjoint beyond
-    1e-10 * (1 + ||a||_F).
+    1e-10 * ||a||_F.
     """
     arr = _check_square(a)
-    normf = float(np.linalg.norm(arr))
-    tol_sym = _SYM_FACTOR * (1.0 + normf)
-    if float(np.linalg.norm(arr - arr.conj().T)) > tol_sym:
+    if float(np.linalg.norm(arr - arr.conj().T)) > PSD_TOL * float(np.linalg.norm(arr)):
         raise NotHermitian("matrix is not equal to its adjoint")
     dtype = complex if np.iscomplexobj(arr) else float
     work = (arr + arr.conj().T).astype(dtype) / 2.0
@@ -102,8 +90,7 @@ class HermitianPSD:
     def __init__(self, matrix):
         arr = _check_square(matrix)
         w, v = eig_hermitian(arr)
-        normf = float(np.linalg.norm(arr))
-        if w.size and w[-1] < -_PSD_FACTOR * (1.0 + normf):
+        if w.size and w[-1] < -PSD_TOL * float(np.linalg.norm(arr)):
             raise NotPositiveSemidefinite(
                 f"minimum eigenvalue {w[-1]:.3e} below tolerance"
             )
@@ -126,7 +113,8 @@ class HermitianPSD:
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != w.size:
             raise ValueError("eigensystem shapes do not match")
         d = w.size
-        if np.linalg.norm(v.conj().T @ v - np.eye(d)) > 1e-8 * (1.0 + d):
+        # V*V - I is dimensionless, so this slack does not scale with w
+        if np.linalg.norm(v.conj().T @ v - np.eye(d)) > GATE_TOL * (1.0 + d):
             raise ValueError("eigenvector columns must be orthonormal")
         order = np.argsort(-w, kind="stable")
         w = np.maximum(w[order], 0.0)
@@ -152,13 +140,12 @@ class HermitianPSD:
         return f"HermitianPSD(dim={self.dim}, eigenvalues={self.eigenvalues.values.tolist()!r})"
 
 
-def psd_rank(values, scale: float | None = None) -> int:
-    """Number of eigenvalues of a PSD matrix that count as nonzero."""
+def psd_rank(values) -> int:
+    """Number of eigenvalues (descending) above 1e-10 times the top one."""
     w = np.asarray(getattr(values, "values", values), dtype=float).reshape(-1)
     if w.size == 0:
         return 0
-    top = float(w[0]) if scale is None else scale
-    return int(np.count_nonzero(w > 1e-10 * (1.0 + top)))
+    return int(np.count_nonzero(w > PSD_TOL * float(w[0])))
 
 
 def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
@@ -173,7 +160,7 @@ def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
     rows = arr.shape[0]
     if not (0 <= i < rows) or not (0 <= j < rows) or i == j:
         raise IndexOutOfRange(f"rows ({i}, {j}) invalid for {rows}-row matrix")
-    if abs(abs(c) ** 2 + abs(s) ** 2 - 1.0) > 1e-12:
+    if abs(abs(c) ** 2 + abs(s) ** 2 - 1.0) > TIE_TOL:  # dimensionless
         raise ValueError("rotation parameters must satisfy |c|^2 + |s|^2 = 1")
     dtype = np.result_type(arr.dtype, type(c), type(s))
     out = arr.astype(dtype, copy=True)
@@ -202,6 +189,6 @@ def null_space_onb(m) -> np.ndarray:
     if d > n:
         raise RankDeficient(f"a {d} x {n} matrix cannot have row rank {d}")
     _, sigma, vh = np.linalg.svd(arr)
-    if d == 0 or sigma[d - 1] <= _RANK_FACTOR * sigma[0]:
+    if d == 0 or sigma[d - 1] <= GATE_TOL * sigma[0]:
         raise RankDeficient("matrix does not have full row rank")
     return _fix_phases(vh[d:].conj().T)

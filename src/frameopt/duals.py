@@ -18,7 +18,7 @@ import numpy as np
 from .core_linalg import HermitianPSD, null_space_onb
 from .errors import BadTrace, InsufficientCorank, NotSpanning
 from .frames import Frame, frame_operator, frame_to_json, inverse_operator
-from .majorization import DEFAULT_TOL, SpectrumVec
+from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec
 from .spectra import NuBreakdown, minimizer_is_unique, nu
 
 
@@ -50,7 +50,7 @@ def _solve_spectrum(problem: DualProblem, tol: float):
         )
     sinv = inverse_operator(problem.frame)
     t0 = sinv.eigenvalues.trace()
-    if problem.t < t0 - 1e-9:
+    if problem.t < t0 * (1.0 - tol):
         raise BadTrace(
             f"trace bound {problem.t} is below tr(S_F^-1) = {t0}; "
             "the constraint would be vacuous"
@@ -60,7 +60,7 @@ def _solve_spectrum(problem: DualProblem, tol: float):
 
 
 def optimal_dual_spectrum(problem: DualProblem, tol: float = DEFAULT_TOL) -> NuBreakdown:
-    """Minimal dual-operator spectrum among duals with trace at least t."""
+    """Minimal dual-operator spectrum among duals with trace >= t (relative tol)."""
     return _solve_spectrum(problem, tol)[2]
 
 
@@ -72,6 +72,9 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     eigenvectors h_i of S_F^{-1} onto orthonormal kernel directions u_i of
     the synthesis, so S_W = S_F^{-1} + Z*Z and duality is untouched.  The
     masses are the increment of the minimal spectrum, as in completion.
+
+    ``tol`` is relative: t may fall short of tr(S_F^{-1}) by that fraction
+    (it is then raised to it), and BadTrace is raised below that.
     """
     frame = problem.frame
     sinv, t, breakdown = _solve_spectrum(problem, tol)
@@ -83,7 +86,7 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
         raise InsufficientCorank(f"need {q} kernel directions, frame offers {n - d}")
     # summation-order residue would be amplified by the square root below
     mass = breakdown.increment
-    mass = np.where(mass <= 1e-12 * (1.0 + abs(breakdown.c)), 0.0, mass)
+    mass = np.where(mass <= TIE_TOL * breakdown.c, 0.0, mass)
     h = sinv.eigenvectors
     # analysis matrix of the canonical dual S_F^{-1} F
     dual_analysis = frame.analysis @ sinv.matrix
@@ -106,7 +109,8 @@ def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """Whether some dual of the frame is tight.
 
     Always true for n >= 2d; otherwise the smallest frame-operator
-    eigenvalue must have multiplicity at least m = 2d - n.
+    eigenvalue must have multiplicity at least m = 2d - n, within
+    tol times the largest eigenvalue.
     """
     if not frame.spanning:
         raise NotSpanning("duality needs a spanning frame")
@@ -115,14 +119,15 @@ def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     if m <= 0:
         return True
     w = frame_operator(frame).eigenvalues.values
-    return bool(w[d - m] - w[d - 1] <= tol * (1.0 + w[0]))
+    return bool(w[d - m] - w[d - 1] <= tol * w[0])
 
 
 def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """Whether some dual of the frame has identity frame operator.
 
     For n >= 2d this is S_F >= I; otherwise the m = 2d - n smallest
-    frame-operator eigenvalues must all equal 1 exactly.
+    frame-operator eigenvalues must all equal 1 exactly.  ``tol`` is
+    absolute: the comparison is against the identity, whose scale is 1.
     """
     if not frame.spanning:
         raise NotSpanning("duality needs a spanning frame")

@@ -10,11 +10,7 @@ import numpy as np
 
 from .core_linalg import HermitianPSD
 from .errors import NotSpanning, ShapeMismatch, SingularFrameOperator
-from .majorization import PotentialKind, trace_f
-
-# A frame spans iff the smallest eigenvalue of its frame operator clears
-# this fraction of the largest (condition-number gate).
-_SPAN_FACTOR = 1e-8
+from .majorization import GATE_TOL, PotentialKind, trace_f
 
 
 class Frame:
@@ -38,11 +34,6 @@ class Frame:
         mat.flags.writeable = False
         self._synthesis = mat
         self._operator = None
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "Frame":
-        cols = [np.asarray(v).reshape(-1) for v in vectors]
-        return cls(np.column_stack(cols))
 
     @property
     def d(self) -> int:
@@ -72,8 +63,9 @@ class Frame:
 
     @property
     def spanning(self) -> bool:
+        """Whether the smallest operator eigenvalue clears 1e-8 times the largest."""
         w = self.operator().eigenvalues.values
-        return bool(w[-1] > _SPAN_FACTOR * w[0])
+        return bool(w[-1] > GATE_TOL * w[0])
 
     def __repr__(self) -> str:
         return f"Frame(d={self.d}, n={self.n})"

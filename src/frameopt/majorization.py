@@ -13,16 +13,22 @@ import numpy as np
 
 from .errors import DomainError, LengthMismatch
 
-# Absolute tolerance on prefix sums and traces.  Inputs typically come out
-# of an eigensolver accurate to ~1e-10, so 1e-9 absorbs that noise.
-DEFAULT_TOL = 1e-9
+# Tolerance factors: every slack is one of them times the scale of what it
+# compares (a norm, top eigenvalue or trace, never 1 + scale), so answers
+# follow a rescaling F -> aF.  A solver's ``tol`` is relative too; a
+# predicate's ``tol`` is absolute (the caller supplies both sides).
+DEFAULT_TOL = 1e-9  # solver default; traces, spectrum order and sign
+TIE_TOL = 1e-12  # waterfilling ties, the dual's mass cut, unit rotations
+PSD_TOL = 1e-10  # symmetry, positive semidefiniteness, numerical rank
+GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots
 
 
 class SpectrumVec:
     """Nonincreasing, nonnegative real vector (an eigenvalue list).
 
-    Entries within a small negative tolerance are clamped to zero;
-    genuinely negative or out-of-order input is rejected.
+    Order and sign are checked with a slack of DEFAULT_TOL * max|v|;
+    entries within it below zero are clamped to zero, and genuinely
+    negative or out-of-order input is rejected.
     """
 
     __slots__ = ("values",)
@@ -33,8 +39,7 @@ class SpectrumVec:
             raise ValueError("spectrum must have at least one entry")
         if not np.all(np.isfinite(v)):
             raise ValueError("spectrum entries must be finite")
-        scale = 1.0 + float(np.max(np.abs(v)))
-        slack = DEFAULT_TOL * scale
+        slack = DEFAULT_TOL * float(np.max(np.abs(v)))
         if np.any(v[1:] > v[:-1] + slack):
             raise ValueError("spectrum entries must be nonincreasing")
         if v[-1] < -slack:

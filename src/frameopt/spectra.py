@@ -15,7 +15,8 @@ computes the cutoff ``r`` and the level ``c`` for a batch of traces; every
 public function validates its inputs once (spectrum, ``m``, trace) and then
 calls it.  ``irregularity`` and ``c_lambda`` are its ``m = 0`` cases, and
 ``s_star`` / ``s_star_star`` are the trace thresholds where the rank bound
-starts to bite and where the level passes the top of the spectrum.
+starts to bite and where the level passes the top of the spectrum.  The
+solvers' ``tol`` is relative to the trace; ``in_lambda_set``'s is absolute.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex, BadM, BadTrace, LengthMismatch
-from .majorization import DEFAULT_TOL, SpectrumVec, spectrum_values
-
-# Slack used when comparing the waterfilling level against spectrum entries,
-# so exact-rational ties resolve the way the closed-form math dictates.
-TIE_SLACK = 1e-12
+from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec, spectrum_values
 
 
 class Regime(enum.Enum):
@@ -63,10 +60,10 @@ class NuBreakdown:
 
 
 def _clamped_trace(values: np.ndarray, t, tol: float):
-    """Validate t >= tr(values) - tol and clamp upstream rounding."""
+    """Validate t >= tr(values) * (1 - tol) and clamp upstream rounding."""
     t0 = float(values.sum())
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < t0 - tol):
+    if np.any(t_arr < t0 * (1.0 - tol)):
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
     return np.maximum(t_arr, t0)
 
@@ -99,20 +96,22 @@ def _waterfill(values: np.ndarray, m: int, tt: np.ndarray):
     For m >= 1, past s* the level rises from lam_m and the cutoff is the
     first entry at or below it.  The last row of each test holds exactly
     (t >= tr(lam) gives p(d-1, t) >= lam_d, and c >= lam_d), so it is set
-    true rather than left to rounding.
+    true rather than left to rounding.  Ties are decided within 1e-12 t, so
+    exact-rational ties resolve the way the closed-form math dictates.
     """
     d = values.size
     prefix = np.concatenate(([0.0], np.cumsum(values)))[:d]
     denom = (d - np.arange(d)).astype(float)
     levels = (tt[None, :] - prefix[:, None]) / denom[:, None]
-    fits = levels >= values[:, None] - TIE_SLACK
+    slack = TIE_TOL * tt
+    fits = levels >= values[:, None] - slack
     fits[-1] = True
     r = np.argmax(fits, axis=0)
     c = levels[r, np.arange(tt.size)]
     if m >= 1:
         sst = _thresholds(values, m)[0]
         c = np.where(tt <= sst, c, values[m - 1] + (tt - sst) / (d - m))
-        below = values[:, None] <= c[None, :] + TIE_SLACK
+        below = values[:, None] <= c[None, :] + slack
         below[-1] = True
         r = np.argmax(below, axis=0)
     return r, c
@@ -179,9 +178,13 @@ def r_lambda_m(lam, m: int, t, tol: float = DEFAULT_TOL):
 def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
     """Submajorization-minimal spectrum reachable at trace t.
 
-    Assembles the three-regime waterfilling rule.  The result has trace
-    exactly t and is nonincreasing; whether it is entrywise above ``lam``
-    at the capped positions is the caller's membership question.
+    The top ``kept`` = max(r, m) entries of ``lam`` stay, the rest are
+    raised to the level c; ``regime`` names the piece of the rule (t
+    against s* and s**).  The result has trace t and is nonincreasing;
+    whether it is entrywise above ``lam`` at the capped positions is the
+    caller's membership question.  ``tol`` is relative: t may fall short
+    of tr(lam) by tol * tr(lam), and an increment may come out below zero
+    by tol * t from rounding (it is then clamped at 0).
     """
     values = spectrum_values(lam)
     return _nu(values, _check_m(values, m), t, tol)
@@ -192,24 +195,18 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
     t = float(_clamped_trace(values, np.float64(t), tol))
     r_arr, c_arr = _waterfill(values, m, np.array([t]))
     r, c = int(r_arr[0]), float(c_arr[0])
+    kept = max(r, m)
     sst = sstst = None
     regime = Regime.AT_OR_BELOW_S_STAR
     if m >= 1:
         sst, sstst = _thresholds(values, m)
         if t > sst:
             regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
-    if regime is Regime.AT_OR_ABOVE_S_STAR_STAR:
-        vec = np.concatenate((np.full(d - m, c), values[:m]))
-    elif regime is Regime.BETWEEN:
-        vec = np.concatenate((values[:r], np.full(d - m, c), values[r:m]))
-    else:
-        vec = np.concatenate((values[:r], np.full(d - r, c)))
-    spectrum = SpectrumVec(vec)
-    if abs(spectrum.trace() - t) > 1e-9 * (1.0 + abs(t)):
+    spectrum = SpectrumVec(np.concatenate((values[:r], np.full(d - kept, c), values[r:kept])))
+    if abs(spectrum.trace() - t) > DEFAULT_TOL * t:
         raise ArithmeticError("assembled spectrum lost trace mass")
-    kept = max(r, m)
     increment = c - values[kept:]
-    if np.any(increment < -tol * (1.0 + abs(c))):
+    if np.any(increment < -tol * t):
         raise ArithmeticError("gap vector came out negative")
     increment = np.maximum(increment, 0.0)
     increment.flags.writeable = False
@@ -222,13 +219,13 @@ def minimizer_is_unique(lam, m: int, t, tol: float = DEFAULT_TOL) -> bool:
 
     True when m <= 0, when lam_m exceeds lam_{m+1}, or when t does not
     exceed the rank threshold s*; otherwise the perturbation can be rotated
-    inside the tied eigenspace.
+    inside the tied eigenspace.  Ties are decided within tol * lam_1.
     """
     values = spectrum_values(lam)
     mm = _check_m(values, m)
     if mm <= 0:
         return True
-    tie = tol * (1.0 + float(values[0]))
+    tie = tol * float(values[0])
     if values[mm - 1] - values[mm] > tie:
         return True
     return float(t) <= _thresholds(values, mm)[0] + tie
@@ -271,7 +268,7 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     minimal = _nu(values, mm, t, DEFAULT_TOL).nu
     base = minimal.values
     d = values.size
-    if scale is None:
+    if scale is None:  # a perturbation size, not a tolerance
         scale = 0.25 * (1.0 + float(values[0]))
     if scale == 0.0:
         return minimal
@@ -285,6 +282,6 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
         lower = base[j] if j == d - 1 else max(base[j], out[j + 1])
         out[j] = min(cap[j], lower + draw[j])
     sample = SpectrumVec(out)
-    if not _is_member(values, mm, t, sample.values, DEFAULT_TOL):
+    if not _is_member(values, mm, t, sample.values, DEFAULT_TOL * float(t)):
         return minimal
     return sample

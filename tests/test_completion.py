@@ -15,7 +15,7 @@ from frameopt import (
 )
 from frameopt.errors import Infeasible, RankDeficient
 
-from conftest import frame_with_spectrum, random_unitary, spread_away_from
+from conftest import EJ1_SYNTHESIS, frame_with_spectrum, random_unitary, spread_away_from
 
 
 def _third_example_frame():
@@ -145,6 +145,19 @@ class TestComplete:
         assert np.allclose(
             np.sum(res.added**2, axis=0), [1.0, 1.0, 0.5, 0.25], atol=1e-9
         )
+
+    def test_reference_two_vector_at_large_scale(self, ej1_frame):
+        # an absolute trace slack once reported this rescaled problem infeasible
+        base = complete(CompletionProblem(ej1_frame, [3.0, 2.5]))
+        res = complete(CompletionProblem(Frame(1e6 * EJ1_SYNTHESIS), [3e12, 2.5e12]))
+        assert res.feasible
+        assert np.max(np.abs(res.nu.values - 1e12 * base.nu.values)) <= 1e-9 * res.nu.values[0]
+
+    def test_reference_two_vector_at_small_scale(self):
+        # an absolute rank cutoff once raised RankDeficient on this problem
+        res = complete(CompletionProblem(Frame(1e-6 * EJ1_SYNTHESIS), [3e-12, 2.5e-12]))
+        assert res.feasible
+        assert res.completed.n == 9
 
     def test_infeasible_returns_result(self, ej1_frame):
         res = complete(CompletionProblem(ej1_frame, [3.5, 2.0]))
