@@ -23,6 +23,7 @@ from .duals import DualProblem, dual_to_json, optimal_dual
 from .errors import (
     BadTrace,
     FrameOptError,
+    InsufficientCorank,
     NotSpanning,
     RankDeficient,
     SingularFrameOperator,
@@ -50,6 +51,7 @@ _EXIT_CODES = (
     (ValueError, EXIT_PARSE),
     (BadTrace, EXIT_BAD_TRACE),
     (RankDeficient, EXIT_RANK),
+    (InsufficientCorank, EXIT_RANK),
     (NotSpanning, EXIT_NOT_SPANNING),
     (SingularFrameOperator, EXIT_NOT_SPANNING),
     (FrameOptError, EXIT_PARSE),

@@ -36,13 +36,12 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make each column's first significant entry real positive, in place.
 
     An entry is significant when its modulus exceeds
-    ``GATE_TOL * max(||column||, 1)``; columns with none are left as is.
+    ``GATE_TOL * ||column||``; columns with none are left as is.
     """
     if v.size == 0:
         return v
     mag = np.abs(v)
-    # max(||col||, 1) is kept: test_fix_phases_matches_loop pins this rule
-    mask = mag > GATE_TOL * np.maximum(np.linalg.norm(v, axis=0), 1.0)
+    mask = mag > GATE_TOL * np.linalg.norm(v, axis=0)
     cols = np.flatnonzero(mask.any(axis=0))
     rows = mask[:, cols].argmax(axis=0)
     pivot = v[rows, cols]

@@ -8,6 +8,7 @@ list (nonincreasing, nonnegative).
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -28,7 +29,7 @@ class SpectrumVec:
 
     Order and sign are checked with a slack of DEFAULT_TOL * max|v|;
     entries within it below zero are clamped to zero, and genuinely
-    negative or out-of-order input is rejected.
+    negative or out-of-order input is rejected.  The input is copied.
     """
 
     __slots__ = ("values",)
@@ -37,14 +38,15 @@ class SpectrumVec:
         v = np.array(values, dtype=float, copy=True).reshape(-1)
         if v.size == 0:
             raise ValueError("spectrum must have at least one entry")
-        if not np.all(np.isfinite(v)):
+        top = float(np.abs(v).max())  # NaN and +-inf propagate through max
+        if not math.isfinite(top):
             raise ValueError("spectrum entries must be finite")
-        slack = DEFAULT_TOL * float(np.max(np.abs(v)))
-        if np.any(v[1:] > v[:-1] + slack):
+        slack = DEFAULT_TOL * top
+        if (v[1:] > v[:-1] + slack).any():
             raise ValueError("spectrum entries must be nonincreasing")
-        if v[-1] < -slack:
+        if float(v[-1]) < -slack:
             raise ValueError("spectrum entries must be nonnegative")
-        np.clip(v, 0.0, None, out=v)
+        np.maximum(v, 0.0, out=v)
         v.flags.writeable = False
         self.values = v
 

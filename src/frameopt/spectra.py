@@ -63,7 +63,7 @@ def _clamped_trace(values: np.ndarray, t, tol: float):
     """Validate t >= tr(values) * (1 - tol) and clamp upstream rounding."""
     t0 = float(values.sum())
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < t0 * (1.0 - tol)):
+    if (t_arr < t0 * (1.0 - tol)).any():
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
     return np.maximum(t_arr, t0)
 
@@ -78,8 +78,8 @@ def _check_m(values: np.ndarray, m) -> int:
 
 def _thresholds(values: np.ndarray, m: int) -> tuple[float, float]:
     """(s*, s**) for a validated spectrum and 1 <= m < d."""
-    head, tail = values[:m].sum(), values.size - m
-    return float(head + tail * values[m - 1]), float(tail * values[0] + head)
+    head, tail = float(values[:m].sum()), values.size - m
+    return head + tail * float(values[m - 1]), tail * float(values[0]) + head
 
 
 def _checked_thresholds(lam, m) -> tuple[float, float]:
@@ -90,30 +90,32 @@ def _checked_thresholds(lam, m) -> tuple[float, float]:
     return _thresholds(values, mm)
 
 
-def _waterfill(values: np.ndarray, m: int, tt: np.ndarray):
+def _waterfill(values: np.ndarray, m: int, tt: np.ndarray, sst: float | None = None):
     """Cutoff r and level c at each trace of ``tt`` (1-d, already clamped).
 
     For m >= 1, past s* the level rises from lam_m and the cutoff is the
-    first entry at or below it.  The last row of each test holds exactly
-    (t >= tr(lam) gives p(d-1, t) >= lam_d, and c >= lam_d), so it is set
-    true rather than left to rounding.  Ties are decided within 1e-12 t, so
-    exact-rational ties resolve the way the closed-form math dictates.
+    first entry at or below it; a caller holding s* passes it as ``sst``.
+    The last row of each test holds exactly (t >= tr(lam) gives
+    p(d-1, t) >= lam_d, and c >= lam_d), so it is set true rather than left
+    to rounding.  Ties are decided within 1e-12 t, so exact-rational ties
+    resolve the way the closed-form math dictates.
     """
     d = values.size
-    prefix = np.concatenate(([0.0], np.cumsum(values)))[:d]
-    denom = (d - np.arange(d)).astype(float)
-    levels = (tt[None, :] - prefix[:, None]) / denom[:, None]
+    prefix = np.concatenate(([0.0], values.cumsum()))[:d]
+    denom = np.arange(d, 0, -1, dtype=float)
+    levels = (tt - prefix[:, None]) / denom[:, None]
     slack = TIE_TOL * tt
     fits = levels >= values[:, None] - slack
     fits[-1] = True
-    r = np.argmax(fits, axis=0)
+    r = fits.argmax(axis=0)
     c = levels[r, np.arange(tt.size)]
     if m >= 1:
-        sst = _thresholds(values, m)[0]
+        if sst is None:
+            sst = _thresholds(values, m)[0]
         c = np.where(tt <= sst, c, values[m - 1] + (tt - sst) / (d - m))
-        below = values[:, None] <= c[None, :] + slack
+        below = values[:, None] <= c + slack
         below[-1] = True
-        r = np.argmax(below, axis=0)
+        r = below.argmax(axis=0)
     return r, c
 
 
@@ -192,23 +194,26 @@ def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
 
 def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
     d = values.size
-    t = float(_clamped_trace(values, np.float64(t), tol))
-    r_arr, c_arr = _waterfill(values, m, np.array([t]))
-    r, c = int(r_arr[0]), float(c_arr[0])
-    kept = max(r, m)
+    t0, t = float(values.sum()), float(t)
+    if t < t0 * (1.0 - tol):  # _clamped_trace on a Python float
+        raise BadTrace(f"trace target below tr(lambda) = {t0}")
+    t = t0 if t <= t0 else t  # as np.maximum: NaN passes, -0.0 becomes t0
     sst = sstst = None
     regime = Regime.AT_OR_BELOW_S_STAR
     if m >= 1:
         sst, sstst = _thresholds(values, m)
         if t > sst:
             regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
+    r_arr, c_arr = _waterfill(values, m, np.array([t]), sst)
+    r, c = int(r_arr[0]), float(c_arr[0])
+    kept = max(r, m)
     spectrum = SpectrumVec(np.concatenate((values[:r], np.full(d - kept, c), values[r:kept])))
     if abs(spectrum.trace() - t) > DEFAULT_TOL * t:
         raise ArithmeticError("assembled spectrum lost trace mass")
     increment = c - values[kept:]
-    if np.any(increment < -tol * t):
+    if (increment < -tol * t).any():
         raise ArithmeticError("gap vector came out negative")
-    increment = np.maximum(increment, 0.0)
+    np.maximum(increment, 0.0, out=increment)
     increment.flags.writeable = False
     return NuBreakdown(r=r, c=c, s_star=sst, s_star_star=sstst, nu=spectrum, regime=regime,
                        kept=kept, increment=increment)

@@ -154,6 +154,14 @@ class TestDual:
         assert code == 6
         assert err
 
+    def test_basis_exit(self, capsys, tmp_path):
+        # a basis has no redundancy, so no dual but the canonical one
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(fo.frame_to_json(fo.Frame(np.diag([2.0, 1.0, 0.5])))))
+        code, out, err = run(capsys, "dual", "--frame", str(path), "--t", "6.0")
+        assert code == 5
+        assert not out and "basis" in err
+
 
 class TestCheckDual:
     def test_onb_pair(self, capsys, tmp_path):

@@ -159,6 +159,17 @@ class TestComplete:
         assert res.feasible
         assert res.completed.n == 9
 
+    @pytest.mark.parametrize("beta", [[3.0, 2.5], [1.0, 1.0, 0.5, 0.25]])
+    def test_added_vectors_follow_rescaling(self, ej1_frame, beta):
+        # a phase-pivot threshold floored at 1 once left the added vectors'
+        # signs unfixed below frame scale ~1e-8, flipping whole columns
+        base = complete(CompletionProblem(ej1_frame, beta)).added
+        for alpha in (1e-12, 1e-10, 1e-9, 1e-6, 1.0, 1e4, 1e8):
+            scaled = Frame(alpha * EJ1_SYNTHESIS)
+            res = complete(CompletionProblem(scaled, alpha**2 * np.array(beta)))
+            err = np.max(np.abs(res.added / alpha - base))
+            assert err <= 1e-12 * np.max(np.abs(base))
+
     def test_infeasible_returns_result(self, ej1_frame):
         res = complete(CompletionProblem(ej1_frame, [3.5, 2.0]))
         assert not res.feasible

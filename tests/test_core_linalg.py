@@ -96,7 +96,7 @@ def _fix_phases_loop(v):
     v = v.copy()
     for j in range(v.shape[1]):
         col = v[:, j]
-        thresh = 1e-8 * max(float(np.linalg.norm(col)), 1.0)
+        thresh = 1e-8 * float(np.linalg.norm(col))
         nz = np.flatnonzero(np.abs(col) > thresh)
         if nz.size == 0:
             continue

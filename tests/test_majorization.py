@@ -117,6 +117,48 @@ class TestSpectrumVec:
         with pytest.raises(ValueError):
             v.values[0] = 3.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        for entries in ([bad], [bad, 1.0], [3.0, bad, 1.0], [3.0, 2.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                SpectrumVec(entries)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            SpectrumVec([])
+
+    def test_flattens_2d_input(self):
+        v = SpectrumVec([[3.0, 2.0], [1.0, 0.0]])
+        assert v.values.shape == (4,)
+        assert v.values.tolist() == [3.0, 2.0, 1.0, 0.0]
+
+    def test_copies_caller_array(self):
+        a = np.array([2.0, 1.0, -1e-12])
+        v = SpectrumVec(a)
+        assert not np.shares_memory(a, v.values)
+        assert a.flags.writeable and a[-1] == -1e-12
+        a[0] = 5.0
+        assert v.values.tolist() == [2.0, 1.0, 0.0]
+
+    def test_all_zero_accepted(self):
+        assert SpectrumVec(np.zeros(3)).values.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tiny_negative_becomes_positive_zero(self, scale):
+        for tail in (-0.5e-9 * scale, -0.0):
+            v = SpectrumVec([scale, tail])
+            assert v.values[-1] == 0.0 and not np.signbit(v.values[-1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpectrumVec([scale, -2e-9 * scale])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_order_slack_is_relative_to_the_top_entry(self, scale):
+        top, slack = 4.0 * scale, 4e-9 * scale
+        inside = [top, scale, scale + 0.9 * slack]
+        assert SpectrumVec(inside).values.tolist() == inside
+        with pytest.raises(ValueError, match="nonincreasing"):
+            SpectrumVec([top, scale, scale + 1.1 * slack])
+
 
 def test_entrywise_implies_submajorized(rng):
     for _ in range(200):

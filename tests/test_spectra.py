@@ -274,6 +274,46 @@ def test_array_traces_match_scalar_calls(rng, fn, kind):
         assert square.ravel().tolist() == scalars
 
 
+def test_nu_matches_batched_cutoff_and_level(rng):
+    # a scalar nu call and one batched call over the same grid must agree
+    # exactly, also at tied entries, zero tails and the breakpoints s*, s**
+    for _ in range(60):
+        d = int(rng.integers(1, 10))
+        lam = random_spectrum(rng, d) * 10.0 ** rng.uniform(-4.0, 4.0)
+        if rng.random() < 0.5:
+            lam = np.sort(rng.choice(lam, size=d))[::-1]
+        if d > 1 and rng.random() < 0.5:
+            lam[d - int(rng.integers(1, d)) :] = 0.0
+        m = int(rng.integers(-2, d))
+        tr = float(lam.sum())
+        grid = list(np.linspace(tr, tr + 3.0 * d * lam[0], 13))
+        if m >= 1:
+            grid += [s_star(lam, m), s_star_star(lam, m)]
+        grid = np.array(grid)
+        rs, cs = r_lambda_m(lam, m, grid), c_lambda_m(lam, m, grid)
+        for i, t in enumerate(grid):
+            b = nu(lam, m, float(t))
+            assert b.r == rs[i] and b.c == cs[i]
+
+
+def test_nu_validates_each_spectrum_once(monkeypatch):
+    # one SpectrumVec for the input (none if it already is one), one for nu
+    built = []
+    init = fo.SpectrumVec.__init__
+
+    def counting_init(self, values):
+        built.append(1)
+        init(self, values)
+
+    monkeypatch.setattr(fo.SpectrumVec, "__init__", counting_init)
+    lam = np.array(LAM_B)
+    for m, t in [(-1, 19.0), (0, 40.0), (2, 19.0), (2, 22.0), (2, 30.0), (4, 60.0)]:
+        for given, expected in ((lam, 2), (LAM_B, 2), (fo.SpectrumVec(lam), 1)):
+            built.clear()
+            nu(given, m, t)
+            assert len(built) == expected
+
+
 class TestMembership:
     def test_simple_member(self):
         assert in_lambda_set([2.0, 1.0], 1, 3.0, [3.0, 1.5])
