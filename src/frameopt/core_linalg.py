@@ -1,23 +1,18 @@
 """Dense complex-Hermitian kernels: eigensystems, null spaces, rotations.
 
-Eigensystems come from LAPACK (``np.linalg.eigh``) and kernels from one
-full SVD, followed by a canonicalization step: a stable descending sort and
-a fixed eigenvector phase convention.  Identical inputs therefore produce
-identical outputs on one machine; across BLAS/LAPACK builds the results
-agree to rounding, not bitwise.  Real symmetric input yields real output
-arrays.
+Eigensystems come from one LAPACK ``eigh`` call and kernels from the
+trailing columns of one complete QR of the adjoint, each followed by a
+canonicalization step: a stable descending sort (eigenpairs) and a fixed
+phase for every column.  Identical inputs therefore produce identical
+outputs on one machine; across BLAS/LAPACK builds the results agree to
+rounding, not bitwise.  Real symmetric input yields real output arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    NotHermitian,
-    NotPositiveSemidefinite,
-    RankDeficient,
-)
+from .errors import IndexOutOfRange, NotHermitian, NotPositiveSemidefinite, RankDeficient
 from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec
 
 
@@ -25,9 +20,7 @@ def _check_square(a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or (
-        np.iscomplexobj(arr) and not np.all(np.isfinite(arr.imag))
-    ):
+    if not np.isfinite(arr).all():
         raise NotHermitian("matrix entries must be finite")
     return arr
 
@@ -53,7 +46,13 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def eig_hermitian(a):
+def _norm(a) -> float:
+    """Frobenius norm taken on a / max|a|, so that no square overflows."""
+    top = float(np.abs(a).max(initial=0.0))
+    return top * float(np.linalg.norm(a / top)) if top > 0.0 else 0.0
+
+
+def eig_hermitian(a, check_hermitian: bool = True):
     """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns ``(w, v)`` with eigenvalues ``w`` in nonincreasing order and the
@@ -65,14 +64,15 @@ def eig_hermitian(a):
     Real input yields real output.
 
     Raises NotHermitian when ``a`` differs from its adjoint beyond
-    1e-10 * ||a||_F.
+    1e-10 * ||a||_F.  ``check_hermitian=False`` skips that test and the
+    symmetrization, for a float or complex ``a`` that is exactly Hermitian.
     """
     arr = _check_square(a)
-    if float(np.linalg.norm(arr - arr.conj().T)) > PSD_TOL * float(np.linalg.norm(arr)):
-        raise NotHermitian("matrix is not equal to its adjoint")
-    dtype = complex if np.iscomplexobj(arr) else float
-    work = (arr + arr.conj().T).astype(dtype) / 2.0
-    w, v = np.linalg.eigh(work)
+    if check_hermitian:
+        if _norm(arr - arr.conj().T) > PSD_TOL * _norm(arr):
+            raise NotHermitian("matrix is not equal to its adjoint")
+        arr = (arr + arr.conj().T).astype(complex if np.iscomplexobj(arr) else float) / 2.0
+    w, v = np.linalg.eigh(arr)
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_phases(v[:, order])
 
@@ -82,23 +82,33 @@ class HermitianPSD:
 
     ``eigenvalues`` is a descending SpectrumVec and the columns of
     ``eigenvectors`` pair with it.  Real input matrices keep real storage.
+    ``matrix`` is the input, or for an object built from an eigensystem
+    V diag(w) V*, assembled on first access.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "eigenvectors")
+    __slots__ = ("_matrix", "eigenvalues", "eigenvectors")
 
-    def __init__(self, matrix):
-        arr = _check_square(matrix)
-        w, v = eig_hermitian(arr)
-        if w.size and w[-1] < -PSD_TOL * float(np.linalg.norm(arr)):
-            raise NotPositiveSemidefinite(
-                f"minimum eigenvalue {w[-1]:.3e} below tolerance"
-            )
-        mat = np.array(arr, copy=True)
-        mat.flags.writeable = False
-        v.flags.writeable = False
-        self.matrix = mat
+    def __init__(self, matrix, check_hermitian: bool = True):
+        """Factor ``matrix``; ``check_hermitian`` as in ``eig_hermitian``."""
+        w, v = eig_hermitian(matrix, check_hermitian)
+        if w.size and w[-1] < -PSD_TOL * _norm(w):
+            raise NotPositiveSemidefinite(f"minimum eigenvalue {w[-1]:.3e} below tolerance")
+        self._set(w, v, np.array(matrix, copy=True))
+
+    @classmethod
+    def _trusted(cls, w, v) -> "HermitianPSD":
+        """From orthonormal eigenpairs (as from ``eigh``), stably sorted here; no re-check."""
+        order = np.argsort(-w, kind="stable")
+        return cls.__new__(cls)._set(w[order], v[:, order])
+
+    def _set(self, w, v, matrix=None) -> "HermitianPSD":
+        for arr in (v, matrix):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._matrix = matrix  # None: assembled on first access
         self.eigenvalues = SpectrumVec(np.maximum(w, 0.0))
         self.eigenvectors = v
+        return self
 
     @classmethod
     def from_eigensystem(cls, values, vectors) -> "HermitianPSD":
@@ -108,29 +118,26 @@ class HermitianPSD:
         eigenvalue order (stable in the given column order).
         """
         w = np.asarray(values, dtype=float).reshape(-1)
-        v = np.array(vectors, copy=True)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != w.size:
+        v, d = np.asarray(vectors), w.size
+        if v.shape != (d, d):
             raise ValueError("eigensystem shapes do not match")
-        d = w.size
         # V*V - I is dimensionless, so this slack does not scale with w
         if np.linalg.norm(v.conj().T @ v - np.eye(d)) > GATE_TOL * (1.0 + d):
             raise ValueError("eigenvector columns must be orthonormal")
-        order = np.argsort(-w, kind="stable")
-        w = np.maximum(w[order], 0.0)
-        v = v[:, order]
-        mat = (v * w) @ v.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-        obj = cls.__new__(cls)
-        mat.flags.writeable = False
-        v.flags.writeable = False
-        obj.matrix = mat
-        obj.eigenvalues = SpectrumVec(w)
-        obj.eigenvectors = v
-        return obj
+        return cls._trusted(w, v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            v = self.eigenvectors
+            mat = (v * self.eigenvalues.values) @ v.conj().T
+            self._matrix = (mat + mat.conj().T) / 2.0
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvectors.shape[0]
 
     def trace(self) -> float:
         return self.eigenvalues.trace()
@@ -142,9 +149,7 @@ class HermitianPSD:
 def psd_rank(values) -> int:
     """Number of eigenvalues (descending) above 1e-10 times the top one."""
     w = np.asarray(getattr(values, "values", values), dtype=float).reshape(-1)
-    if w.size == 0:
-        return 0
-    return int(np.count_nonzero(w > PSD_TOL * float(w[0])))
+    return int(np.count_nonzero(w > PSD_TOL * float(w[0]))) if w.size else 0
 
 
 def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
@@ -170,16 +175,16 @@ def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
     return out
 
 
-def null_space_onb(m) -> np.ndarray:
+def null_space_onb(m, check_rank: bool = True) -> np.ndarray:
     """Orthonormal basis of the kernel of a full-row-rank d x n matrix.
 
     Returns an n x (n - d) matrix whose columns u satisfy m @ u = 0: the
-    trailing n - d right singular vectors from one full SVD
-    m = U diag(sigma) V*, each with its first significant entry made real
-    positive.  Deterministic for a given input on one machine.
+    trailing n - d columns of Q in one complete QR m* = Q R, each with its
+    first significant entry made real positive.  Deterministic for a given
+    input on one machine.
 
-    Raises RankDeficient when the d-th singular value is at most
-    1e-8 times the largest.
+    Raises RankDeficient when the d-th singular value is at most 1e-8
+    times the largest; ``check_rank=False`` skips that test (and its SVD).
     """
     arr = np.asarray(m)
     if arr.ndim != 2:
@@ -187,7 +192,9 @@ def null_space_onb(m) -> np.ndarray:
     d, n = arr.shape
     if d > n:
         raise RankDeficient(f"a {d} x {n} matrix cannot have row rank {d}")
-    _, sigma, vh = np.linalg.svd(arr)
-    if d == 0 or sigma[d - 1] <= GATE_TOL * sigma[0]:
-        raise RankDeficient("matrix does not have full row rank")
-    return _fix_phases(vh[d:].conj().T)
+    if check_rank:
+        sigma = np.linalg.svd(arr, compute_uv=False)
+        if d == 0 or sigma[d - 1] <= GATE_TOL * sigma[0]:
+            raise RankDeficient("matrix does not have full row rank")
+    q = np.linalg.qr(arr.conj().T, mode="complete")[0]
+    return _fix_phases(q[:, d:])

@@ -27,9 +27,7 @@ class Frame:
             raise ShapeMismatch("frame needs at least one vector in dimension >= 1")
         dtype = complex if np.iscomplexobj(arr) else float
         mat = np.array(arr, dtype=dtype, copy=True)
-        if not np.all(np.isfinite(mat.real)) or (
-            np.iscomplexobj(mat) and not np.all(np.isfinite(mat.imag))
-        ):
+        if not np.isfinite(mat).all():
             raise ShapeMismatch("frame entries must be finite")
         mat.flags.writeable = False
         self._synthesis = mat
@@ -57,8 +55,8 @@ class Frame:
     def operator(self) -> HermitianPSD:
         if self._operator is None:
             s = self._synthesis @ self._synthesis.conj().T
-            s = (s + s.conj().T) / 2.0
-            self._operator = HermitianPSD(s)
+            s = (s + s.conj().T) / 2.0  # exactly Hermitian: eigh needs no second pass
+            self._operator = HermitianPSD(s, check_hermitian=False)
         return self._operator
 
     @property
@@ -89,7 +87,7 @@ def inverse_operator(frame: Frame) -> HermitianPSD:
     if not frame.spanning:
         raise NotSpanning("inverse frame operator needs a spanning frame")
     op = frame.operator()
-    return HermitianPSD.from_eigensystem(1.0 / op.eigenvalues.values, op.eigenvectors)
+    return HermitianPSD._trusted(1.0 / op.eigenvalues.values, op.eigenvectors)
 
 
 def canonical_dual(frame: Frame) -> Frame:
@@ -119,11 +117,7 @@ def potential(frame: Frame, kind: PotentialKind) -> float:
 
 def frame_to_json(frame: Frame) -> dict:
     """JSON object {"d", "n", "vectors"} with entries as [re, im] pairs."""
-    arr = frame.synthesis
-    vectors = []
-    for i in range(frame.n):
-        col = arr[:, i]
-        vectors.append([[float(z.real), float(z.imag)] for z in col])
+    vectors = [[[float(z.real), float(z.imag)] for z in col] for col in frame.synthesis.T]
     return {"d": frame.d, "n": frame.n, "vectors": vectors}
 
 
@@ -155,8 +149,7 @@ def frame_from_json(obj) -> Frame:
     for i, vec in enumerate(vectors):
         if not isinstance(vec, list) or len(vec) != d:
             raise ValueError(f"vector {i} must have {d} entries")
-        for row, entry in enumerate(vec):
-            cols[row, i] = _entry_to_complex(entry)
+        cols[:, i] = [_entry_to_complex(entry) for entry in vec]
     if np.all(cols.imag == 0.0):
         return Frame(cols.real)
     return Frame(cols)

@@ -139,10 +139,11 @@ def entrywise_leq(x, y, tol: float = DEFAULT_TOL) -> bool:
 
 
 def trace_f(x, kind: PotentialKind) -> float:
-    """Sum of f(x_i) for the convex potential selected by ``kind``."""
+    """Sum of f(x_i) for the potential ``kind``; a frame potential that overflows is inf."""
     v = np.asarray(getattr(x, "values", x), dtype=float).reshape(-1)
     if kind is PotentialKind.FRAME_POTENTIAL:
-        return float(np.sum(v * v))
+        with np.errstate(over="ignore"):
+            return float(np.sum(v * v))
     if kind is PotentialKind.MEAN_SQUARE_ERROR:
         if np.any(v <= 0.0):
             raise DomainError("mean square error needs strictly positive entries")

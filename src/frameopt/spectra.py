@@ -186,7 +186,8 @@ def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
     whether it is entrywise above ``lam`` at the capped positions is the
     caller's membership question.  ``tol`` is relative: t may fall short
     of tr(lam) by tol * tr(lam), and an increment may come out below zero
-    by tol * t from rounding (it is then clamped at 0).
+    by tol * t from rounding (it is then clamped at 0).  A t whose level c
+    underflows and loses trace mass (``nu([0, 0], 0, 5e-324)``) raises BadTrace.
     """
     values = spectrum_values(lam)
     return _nu(values, _check_m(values, m), t, tol)
@@ -209,6 +210,8 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
     kept = max(r, m)
     spectrum = SpectrumVec(np.concatenate((values[:r], np.full(d - kept, c), values[r:kept])))
     if abs(spectrum.trace() - t) > DEFAULT_TOL * t:
+        if c < np.finfo(float).tiny:
+            raise BadTrace(f"trace target {t} underflows the level c = {c}")
         raise ArithmeticError("assembled spectrum lost trace mass")
     increment = c - values[kept:]
     if (increment < -tol * t).any():
@@ -266,15 +269,16 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     Perturbs the minimal spectrum upward with nonnegative mass, respecting
     the shifted caps and the nonincreasing order, so the result is a member
     by construction (verified; falls back to the minimal spectrum itself).
-    ``scale=0`` returns the minimal spectrum unchanged.
+    ``scale`` defaults to a quarter of the minimal spectrum's top entry, so
+    samples follow a rescaling of lam and t; ``scale=0`` returns it unchanged.
     """
     values = spectrum_values(lam)
     mm = _check_m(values, m)
     minimal = _nu(values, mm, t, DEFAULT_TOL).nu
     base = minimal.values
     d = values.size
-    if scale is None:  # a perturbation size, not a tolerance
-        scale = 0.25 * (1.0 + float(values[0]))
+    if scale is None:
+        scale = 0.25 * float(base[0])
     if scale == 0.0:
         return minimal
     rng = np.random.default_rng(rng_seed)

@@ -81,6 +81,19 @@ def frame_with_spectrum(rng, sigma, n, cplx=False):
     return fo.Frame((v * np.sqrt(sigma)) @ rows)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; returns the list of its calls' kwargs."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def mixed_toward_average(rng, lam, rounds=None, positive=False):
     """Random vector majorized by lam (averaging pairs only ever flattens)."""
     out = np.array(lam, dtype=float)

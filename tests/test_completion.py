@@ -15,7 +15,13 @@ from frameopt import (
 )
 from frameopt.errors import Infeasible, RankDeficient
 
-from conftest import EJ1_SYNTHESIS, frame_with_spectrum, random_unitary, spread_away_from
+from conftest import (
+    EJ1_SYNTHESIS,
+    count_calls,
+    frame_with_spectrum,
+    random_unitary,
+    spread_away_from,
+)
 
 
 def _third_example_frame():
@@ -262,6 +268,15 @@ def test_optimal_completion_beats_random_alternatives(ej1_frame, rng):
         assert fo.potential(alt, PotentialKind.MEAN_SQUARE_ERROR) >= mse_opt - 1e-9
         # spectral minimality, not just potential minimality
         assert fo.majorizes(w_alt, res.nu, 1e-6)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_one_eigensolve_per_completion(monkeypatch, cplx):
+    synthesis = EJ1_SYNTHESIS * (1.0 + 1j) if cplx else EJ1_SYNTHESIS
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    res = complete(CompletionProblem(Frame(synthesis), [1.0, 1.0, 1.0]))
+    assert res.feasible and res.added.shape == (5, 3)
+    assert len(eigh) == 1
 
 
 def test_json_schema(ej1_frame):

@@ -149,6 +149,30 @@ class TestHermitianPSD:
             1.0 + np.linalg.norm(op.matrix)
         )
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_trusted_matrix_is_built_on_first_access(self, rng, cplx):
+        for d in (1, 4, 12):
+            z = rng.standard_normal((d, d + 2))
+            if cplx:
+                z = z + 1j * rng.standard_normal(z.shape)
+            op = Frame(z).operator()
+            w, v = op.eigenvalues.values[::-1], op.eigenvectors[:, ::-1]
+            trusted = HermitianPSD._trusted(w, v)  # sorts the pairs itself
+            assert trusted._matrix is None
+            assert np.array_equal(trusted.eigenvalues.values, op.eigenvalues.values)
+            ref = HermitianPSD.from_eigensystem(w, v).matrix
+            scale = np.linalg.norm(op.matrix)
+            assert np.linalg.norm(trusted.matrix - ref) <= 1e-12 * scale
+            assert np.linalg.norm(trusted.matrix - op.matrix) <= 1e-12 * scale
+            assert not trusted.matrix.flags.writeable
+
+    def test_unchecked_eigensystem_of_an_exactly_hermitian_matrix(self, rng):
+        for cplx in (False, True):
+            a = random_hermitian(rng, 6, cplx=cplx)
+            w1, v1 = eig_hermitian(a)
+            w2, v2 = eig_hermitian(a, check_hermitian=False)
+            assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+
     def test_from_eigensystem_sorts(self):
         op = HermitianPSD.from_eigensystem([1.0, 3.0], np.eye(2))
         assert op.eigenvalues.values.tolist() == [3.0, 1.0]

@@ -17,7 +17,7 @@ from frameopt import (
 )
 from frameopt.errors import BadTrace, InsufficientCorank, NotSpanning
 
-from conftest import frame_with_spectrum
+from conftest import DUAL_SYNTHESIS, count_calls, frame_with_spectrum
 
 NU_REF = [4.0, 19.0 / 6.0, 19.0 / 6.0, 19.0 / 6.0, 3.0]
 
@@ -126,6 +126,18 @@ def _random_dual(rng, frame, t=None, slack=1.0):
         z = z * np.sqrt(slack * max(t - t0, 0.0) / mass)
     analysis = canonical_dual(frame).analysis + z
     return Frame(analysis.conj().T)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_one_eigensolve_and_no_svd_per_dual(monkeypatch, cplx):
+    synthesis = DUAL_SYNTHESIS * (1.0 + 1j) if cplx else DUAL_SYNTHESIS
+    t = 2.0 * inverse_operator(Frame(synthesis)).trace()
+    assert optimal_dual_spectrum(DualProblem(Frame(synthesis), t)).kept < 5  # kernel used
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    res = optimal_dual(DualProblem(Frame(synthesis), t))
+    assert fo.is_dual(Frame(synthesis), res.dual)
+    assert len(eigh) == 1 and svd == []
 
 
 def test_canonical_dual_operator_is_minimal(rng):

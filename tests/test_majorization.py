@@ -99,6 +99,10 @@ class TestTraceF:
             PotentialKind.from_name("nope")
 
 
+def test_overflowing_frame_potential_is_inf_without_warning():
+    assert trace_f([1e200, 1.0], PotentialKind.FRAME_POTENTIAL) == np.inf
+
+
 class TestSpectrumVec:
     def test_clamps_tiny_negative(self):
         v = SpectrumVec([1.0, 1e-12, -1e-12])

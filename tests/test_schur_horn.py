@@ -140,6 +140,20 @@ class TestRealizeFrame:
         assert g.dtype == np.float64
 
 
+def test_unitary_matches_a_chain_of_givens_left(rng):
+    # the in-place rotations do givens_left's arithmetic: bitwise the same
+    for k in list(range(1, 9)) + [16, 31, 48]:
+        for _ in range(3):
+            lam = np.sort(rng.uniform(0.0, 2.0, k))[::-1] * 10.0 ** rng.uniform(-3, 3)
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            target = _diag_of_conjugation(q, lam)  # majorized by lam (Schur)
+            rotations, rows = rotation_chain(lam, target)
+            ref = np.eye(k)
+            for i, j, c, s in rotations:
+                ref = fo.givens_left(ref, i, j, c, s)
+            assert np.array_equal(unitary_for_diagonal(lam, target), ref[rows, :])
+
+
 def test_norms_of_any_family_are_majorized_by_operator_spectrum(rng):
     # necessity direction: squared norms are always majorized by the
     # frame-operator spectrum padded with zeros

@@ -153,6 +153,12 @@ class TestNu:
         assert breakdown.s_star is None and breakdown.s_star_star is None
         assert breakdown.regime is Regime.AT_OR_BELOW_S_STAR
 
+    def test_subnormal_trace_on_zero_spectrum(self):
+        # c = t / d underflows to 0 and would lose the whole trace
+        with pytest.raises(BadTrace):
+            nu([0.0, 0.0], 0, 5e-324)
+        assert nu([0.0, 0.0], 0, 1e-300).nu.values.tolist() == [5e-301, 5e-301]
+
     def test_regime_classification(self):
         assert nu(LAM_B, 2, 22.0).regime is Regime.AT_OR_BELOW_S_STAR
         assert nu(LAM_B, 2, 23.0).regime is Regime.AT_OR_BELOW_S_STAR
@@ -353,6 +359,14 @@ class TestSampler:
         for seed in range(30):
             mu = sample_lambda_set(LAM_A, 3, 26.5, rng_seed=seed)
             assert in_lambda_set(LAM_A, 3, 26.5, mu)
+
+    def test_default_perturbation_follows_rescaling(self):
+        lam = np.array([3.0, 2.0, 1.0])
+        ref = sample_lambda_set(lam, 0, 7.0, rng_seed=3).values
+        assert np.any(ref > nu(lam, 0, 7.0).nu.values)
+        for alpha in (1e-8, 1.0, 1e8):
+            got = sample_lambda_set(alpha * lam, 0, 7.0 * alpha, rng_seed=3).values
+            assert np.max(np.abs(got / alpha - ref)) <= 1e-12 * np.max(ref)
 
     def test_upward_mass_without_rank_bound(self):
         mu = sample_lambda_set(LAM_A, 0, 24.0, rng_seed=11, scale=10.0)
