@@ -125,8 +125,10 @@ def optimal_B(s0: HermitianPSD, completion_plan: CompletionPlan) -> HermitianPSD
     """
     if not completion_plan.feasible:
         raise Infeasible("optimal added operator exists only for feasible plans")
-    values = np.zeros(s0.dim)
-    values[completion_plan.r_hat :] = completion_plan.mu_hat
+    r_hat = completion_plan.r_hat
+    d = s0.dim
+    values = np.zeros(d)
+    values[r_hat:] = completion_plan.mu_hat
     return HermitianPSD._trusted(values, s0.eigenvectors)
 
 
@@ -160,7 +162,9 @@ def complete(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> Completion
     if completion_plan.feasible:
         s0 = frame_operator(problem.initial)
         added = realize_frame(optimal_B(s0, completion_plan), problem.beta, tol * problem.t)
-        completed = Frame(np.hstack([problem.initial.synthesis, added]))
+        synth = problem.initial.synthesis
+        dtype = np.result_type(synth.dtype, added.dtype)
+        completed = Frame(np.hstack([synth.astype(dtype), added.astype(dtype)]))
     return CompletionResult(
         feasible=completion_plan.feasible,
         nu=completion_plan.nu,

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotHermitian, NotPositiveSemidefinite, RankDeficient
+from .errors import (
+    IndexOutOfRange,
+    NotHermitian,
+    NotPositiveSemidefinite,
+    RankDeficient,
+)
 from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec
 
 
@@ -20,7 +25,9 @@ def _check_square(a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr.real)) or (
+        np.iscomplexobj(arr) and not np.all(np.isfinite(arr.imag))
+    ):
         raise NotHermitian("matrix entries must be finite")
     return arr
 
@@ -52,7 +59,7 @@ def _norm(a) -> float:
     return top * float(np.linalg.norm(a / top)) if top > 0.0 else 0.0
 
 
-def eig_hermitian(a, check_hermitian: bool = True):
+def eig_hermitian(a, _symmetrized: bool = False):
     """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns ``(w, v)`` with eigenvalues ``w`` in nonincreasing order and the
@@ -64,14 +71,16 @@ def eig_hermitian(a, check_hermitian: bool = True):
     Real input yields real output.
 
     Raises NotHermitian when ``a`` differs from its adjoint beyond
-    1e-10 * ||a||_F.  ``check_hermitian=False`` skips that test and the
-    symmetrization, for a float or complex ``a`` that is exactly Hermitian.
+    1e-10 * ||a||_F.
     """
     arr = _check_square(a)
-    if check_hermitian:
+    # _symmetrized: a float or complex ``a`` that already is (A + A*)/2, so
+    # exactly Hermitian (``Frame.operator``); the test and second pass are skipped
+    if not _symmetrized:
         if _norm(arr - arr.conj().T) > PSD_TOL * _norm(arr):
             raise NotHermitian("matrix is not equal to its adjoint")
-        arr = (arr + arr.conj().T).astype(complex if np.iscomplexobj(arr) else float) / 2.0
+        dtype = complex if np.iscomplexobj(arr) else float
+        arr = (arr + arr.conj().T).astype(dtype) / 2.0
     w, v = np.linalg.eigh(arr)
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_phases(v[:, order])
@@ -88,12 +97,14 @@ class HermitianPSD:
 
     __slots__ = ("_matrix", "eigenvalues", "eigenvectors")
 
-    def __init__(self, matrix, check_hermitian: bool = True):
-        """Factor ``matrix``; ``check_hermitian`` as in ``eig_hermitian``."""
-        w, v = eig_hermitian(matrix, check_hermitian)
+    def __init__(self, matrix, _symmetrized: bool = False):
+        # _symmetrized as in eig_hermitian; such a matrix is a fresh array, kept uncopied
+        w, v = eig_hermitian(matrix, _symmetrized)
+        if not _symmetrized:
+            matrix = np.array(matrix, copy=True)
         if w.size and w[-1] < -PSD_TOL * _norm(w):
             raise NotPositiveSemidefinite(f"minimum eigenvalue {w[-1]:.3e} below tolerance")
-        self._set(w, v, np.array(matrix, copy=True))
+        self._set(w, v, matrix)
 
     @classmethod
     def _trusted(cls, w, v) -> "HermitianPSD":
@@ -118,9 +129,10 @@ class HermitianPSD:
         eigenvalue order (stable in the given column order).
         """
         w = np.asarray(values, dtype=float).reshape(-1)
-        v, d = np.asarray(vectors), w.size
-        if v.shape != (d, d):
+        v = np.asarray(vectors)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != w.size:
             raise ValueError("eigensystem shapes do not match")
+        d = w.size
         # V*V - I is dimensionless, so this slack does not scale with w
         if np.linalg.norm(v.conj().T @ v - np.eye(d)) > GATE_TOL * (1.0 + d):
             raise ValueError("eigenvector columns must be orthonormal")
@@ -149,7 +161,16 @@ class HermitianPSD:
 def psd_rank(values) -> int:
     """Number of eigenvalues (descending) above 1e-10 times the top one."""
     w = np.asarray(getattr(values, "values", values), dtype=float).reshape(-1)
-    return int(np.count_nonzero(w > PSD_TOL * float(w[0]))) if w.size else 0
+    if w.size == 0:
+        return 0
+    return int(np.count_nonzero(w > PSD_TOL * float(w[0])))
+
+
+def _rotate_rows(u: np.ndarray, i: int, j: int, c, s) -> None:
+    """Rows i, j of ``u`` <- [[c, s], [-conj(s), conj(c)]] times them, in place."""
+    ri = u[i, :].copy()
+    u[i, :] = c * ri + s * u[j, :]
+    u[j, :] = -np.conj(s) * ri + np.conj(c) * u[j, :]
 
 
 def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
@@ -168,14 +189,11 @@ def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
         raise ValueError("rotation parameters must satisfy |c|^2 + |s|^2 = 1")
     dtype = np.result_type(arr.dtype, type(c), type(s))
     out = arr.astype(dtype, copy=True)
-    ri = out[i, :].copy()
-    rj = out[j, :].copy()
-    out[i, :] = c * ri + s * rj
-    out[j, :] = -np.conj(s) * ri + np.conj(c) * rj
+    _rotate_rows(out, i, j, c, s)
     return out
 
 
-def null_space_onb(m, check_rank: bool = True) -> np.ndarray:
+def null_space_onb(m) -> np.ndarray:
     """Orthonormal basis of the kernel of a full-row-rank d x n matrix.
 
     Returns an n x (n - d) matrix whose columns u satisfy m @ u = 0: the
@@ -183,8 +201,8 @@ def null_space_onb(m, check_rank: bool = True) -> np.ndarray:
     first significant entry made real positive.  Deterministic for a given
     input on one machine.
 
-    Raises RankDeficient when the d-th singular value is at most 1e-8
-    times the largest; ``check_rank=False`` skips that test (and its SVD).
+    Raises RankDeficient when the d-th singular value, from
+    ``svd(compute_uv=False)``, is at most 1e-8 times the largest.
     """
     arr = np.asarray(m)
     if arr.ndim != 2:
@@ -192,9 +210,8 @@ def null_space_onb(m, check_rank: bool = True) -> np.ndarray:
     d, n = arr.shape
     if d > n:
         raise RankDeficient(f"a {d} x {n} matrix cannot have row rank {d}")
-    if check_rank:
-        sigma = np.linalg.svd(arr, compute_uv=False)
-        if d == 0 or sigma[d - 1] <= GATE_TOL * sigma[0]:
-            raise RankDeficient("matrix does not have full row rank")
+    sigma = np.linalg.svd(arr, compute_uv=False)
+    if d == 0 or sigma[d - 1] <= GATE_TOL * sigma[0]:
+        raise RankDeficient("matrix does not have full row rank")
     q = np.linalg.qr(arr.conj().T, mode="complete")[0]
     return _fix_phases(q[:, d:])

@@ -91,8 +91,7 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     # analysis matrix of the canonical dual S_F^{-1} F
     dual_analysis = frame.analysis @ sinv.matrix
     if q > 0:
-        # inverse_operator's spanning gate implies full row rank
-        kernel = null_space_onb(frame.synthesis, check_rank=False)
+        kernel = null_space_onb(frame.synthesis)
         z = (kernel[:, :q] * np.sqrt(mass)) @ h[:, kept:].conj().T
         dual_analysis = dual_analysis + z
     operator = HermitianPSD._trusted(
@@ -106,13 +105,6 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     )
 
 
-def _spectrum_and_m(frame: Frame):
-    """Frame-operator spectrum of a spanning frame, and m = 2d - n."""
-    if not frame.spanning:
-        raise NotSpanning("duality needs a spanning frame")
-    return frame_operator(frame).eigenvalues.values, 2 * frame.d - frame.n
-
-
 def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """Whether some dual of the frame is tight.
 
@@ -120,8 +112,14 @@ def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     eigenvalue must have multiplicity at least m = 2d - n, within
     tol times the largest eigenvalue.
     """
-    w, m = _spectrum_and_m(frame)
-    return m <= 0 or bool(w[-m] - w[-1] <= tol * w[0])
+    if not frame.spanning:
+        raise NotSpanning("duality needs a spanning frame")
+    d, n = frame.d, frame.n
+    m = 2 * d - n
+    if m <= 0:
+        return True
+    w = frame_operator(frame).eigenvalues.values
+    return bool(w[d - m] - w[d - 1] <= tol * w[0])
 
 
 def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
@@ -131,10 +129,14 @@ def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     frame-operator eigenvalues must all equal 1 exactly.  ``tol`` is
     absolute: the comparison is against the identity, whose scale is 1.
     """
-    w, m = _spectrum_and_m(frame)
+    if not frame.spanning:
+        raise NotSpanning("duality needs a spanning frame")
+    d, n = frame.d, frame.n
+    m = 2 * d - n
+    w = frame_operator(frame).eigenvalues.values
     if m <= 0:
-        return bool(w[-1] >= 1.0 - tol)
-    return bool(abs(w[-m] - 1.0) <= tol and abs(w[-1] - 1.0) <= tol)
+        return bool(w[d - 1] >= 1.0 - tol)
+    return bool(abs(w[d - m] - 1.0) <= tol and abs(w[d - 1] - 1.0) <= tol)
 
 
 def dual_to_json(result: DualResult) -> dict:

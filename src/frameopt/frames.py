@@ -27,7 +27,9 @@ class Frame:
             raise ShapeMismatch("frame needs at least one vector in dimension >= 1")
         dtype = complex if np.iscomplexobj(arr) else float
         mat = np.array(arr, dtype=dtype, copy=True)
-        if not np.isfinite(mat).all():
+        if not np.all(np.isfinite(mat.real)) or (
+            np.iscomplexobj(mat) and not np.all(np.isfinite(mat.imag))
+        ):
             raise ShapeMismatch("frame entries must be finite")
         mat.flags.writeable = False
         self._synthesis = mat
@@ -55,8 +57,7 @@ class Frame:
     def operator(self) -> HermitianPSD:
         if self._operator is None:
             s = self._synthesis @ self._synthesis.conj().T
-            s = (s + s.conj().T) / 2.0  # exactly Hermitian: eigh needs no second pass
-            self._operator = HermitianPSD(s, check_hermitian=False)
+            self._operator = HermitianPSD((s + s.conj().T) / 2.0, _symmetrized=True)
         return self._operator
 
     @property
@@ -117,7 +118,11 @@ def potential(frame: Frame, kind: PotentialKind) -> float:
 
 def frame_to_json(frame: Frame) -> dict:
     """JSON object {"d", "n", "vectors"} with entries as [re, im] pairs."""
-    vectors = [[[float(z.real), float(z.imag)] for z in col] for col in frame.synthesis.T]
+    arr = frame.synthesis
+    vectors = []
+    for i in range(frame.n):
+        col = arr[:, i]
+        vectors.append([[float(z.real), float(z.imag)] for z in col])
     return {"d": frame.d, "n": frame.n, "vectors": vectors}
 
 
@@ -149,7 +154,8 @@ def frame_from_json(obj) -> Frame:
     for i, vec in enumerate(vectors):
         if not isinstance(vec, list) or len(vec) != d:
             raise ValueError(f"vector {i} must have {d} entries")
-        cols[:, i] = [_entry_to_complex(entry) for entry in vec]
+        for row, entry in enumerate(vec):
+            cols[row, i] = _entry_to_complex(entry)
     if np.all(cols.imag == 0.0):
         return Frame(cols.real)
     return Frame(cols)

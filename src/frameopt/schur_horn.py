@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_linalg import HermitianPSD, _fix_phases, psd_rank
+from .core_linalg import HermitianPSD, _fix_phases, _rotate_rows, psd_rank
 from .errors import NotMajorized, RankTooLarge
 from .majorization import DEFAULT_TOL, majorizes, sort_desc, spectrum_values
 
@@ -71,11 +71,10 @@ def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
 def unitary_for_diagonal(spectrum, target, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``."""
     rotations, rows = rotation_chain(spectrum, target, tol)
-    u = np.eye(np.asarray(target).size)
-    for i, j, c, s in rotations:  # givens_left's arithmetic, in place on two rows
-        ri = u[i].copy()
-        u[i] = c * ri + s * u[j]
-        u[j] = -s * ri + c * u[j]
+    k = np.asarray(target).size
+    u = np.eye(k)
+    for i, j, c, s in rotations:
+        _rotate_rows(u, i, j, c, s)
     return u[rows, :]
 
 

@@ -10,7 +10,7 @@ from frameopt.errors import (
     RankDeficient,
 )
 
-from conftest import DUAL_SYNTHESIS, EJ1_SYNTHESIS, random_hermitian
+from conftest import DUAL_SYNTHESIS, EJ1_SYNTHESIS, random_hermitian, random_psd
 
 
 class TestEigHermitian:
@@ -166,12 +166,16 @@ class TestHermitianPSD:
             assert np.linalg.norm(trusted.matrix - op.matrix) <= 1e-12 * scale
             assert not trusted.matrix.flags.writeable
 
-    def test_unchecked_eigensystem_of_an_exactly_hermitian_matrix(self, rng):
+    def test_symmetrized_path_matches_the_checked_one(self, rng):
+        # (A + A*)/2 is exactly Hermitian, so skipping the adjoint test and
+        # the second symmetrization changes no bit of the factorization
         for cplx in (False, True):
-            a = random_hermitian(rng, 6, cplx=cplx)
-            w1, v1 = eig_hermitian(a)
-            w2, v2 = eig_hermitian(a, check_hermitian=False)
-            assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+            a = random_psd(rng, 6, cplx=cplx)
+            s = (a + a.conj().T) / 2.0
+            ref, op = HermitianPSD(s), HermitianPSD(s.copy(), _symmetrized=True)
+            assert np.array_equal(op.eigenvalues.values, ref.eigenvalues.values)
+            assert np.array_equal(op.eigenvectors, ref.eigenvectors)
+            assert np.array_equal(op.matrix, s) and not op.matrix.flags.writeable
 
     def test_from_eigensystem_sorts(self):
         op = HermitianPSD.from_eigensystem([1.0, 3.0], np.eye(2))
