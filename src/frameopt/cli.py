@@ -29,7 +29,7 @@ from .errors import (
     SingularFrameOperator,
 )
 from .frames import Frame, duality_residual, frame_from_json, potential
-from .majorization import DEFAULT_TOL, PotentialKind
+from .majorization import DEFAULT_TOL, GATE_TOL, PotentialKind
 from .spectra import nu
 
 EXIT_OK = 0
@@ -41,13 +41,8 @@ EXIT_NOT_SPANNING = 6
 _RELATIVE_TOL = "relative tolerance, scaled by the problem's trace (default %(default)s)"
 
 
-class _ParseFailure(Exception):
-    pass
-
-
 # Checked in order: the first matching exception type gives the exit code.
 _EXIT_CODES = (
-    (_ParseFailure, EXIT_PARSE),
     (ValueError, EXIT_PARSE),
     (BadTrace, EXIT_BAD_TRACE),
     (RankDeficient, EXIT_RANK),
@@ -65,46 +60,42 @@ def _read_source(arg: str) -> str:
         with open(arg, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _ParseFailure(f"cannot read {arg!r}: {exc}") from exc
+        raise ValueError(f"cannot read {arg!r}: {exc}") from exc
 
 
 def _parse_reals(text: str) -> list[float]:
     parts = [p for p in text.replace(",", " ").split() if p]
     if not parts:
-        raise _ParseFailure("empty number list")
+        raise ValueError("empty number list")
     try:
         return [float(p) for p in parts]
     except ValueError as exc:
-        raise _ParseFailure(f"bad number list: {exc}") from exc
+        raise ValueError(f"bad number list: {exc}") from exc
 
 
 def _load_spectrum(arg: str) -> list[float]:
     try:
         return _parse_reals(arg)
-    except _ParseFailure:
+    except ValueError:
         pass
     text = _read_source(arg).strip()
     if text.startswith("["):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise _ParseFailure(f"bad JSON list: {exc}") from exc
+            raise ValueError(f"bad JSON list: {exc}") from exc
         if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
-            raise _ParseFailure("spectrum file must hold a list of numbers")
+            raise ValueError("spectrum file must hold a list of numbers")
         return [float(x) for x in data]
     return _parse_reals(text)
 
 
 def _load_frame(arg: str) -> Frame:
-    text = _read_source(arg)
     try:
-        obj = json.loads(text)
+        obj = json.loads(_read_source(arg))
     except json.JSONDecodeError as exc:
-        raise _ParseFailure(f"bad frame JSON: {exc}") from exc
-    try:
-        return frame_from_json(obj)
-    except ValueError as exc:
-        raise _ParseFailure(str(exc)) from exc
+        raise ValueError(f"bad frame JSON: {exc}") from exc
+    return frame_from_json(obj)
 
 
 def _fmt_number(x) -> str:
@@ -236,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check-dual", help="test whether two frames are dual")
     p_check.add_argument("--frame", required=True)
     p_check.add_argument("--dual", required=True)
-    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                         help="absolute bound on the dimensionless duality residual")
+    p_check.add_argument("--tol", type=float, default=GATE_TOL,
+                         help="absolute bound on the duality residual (default %(default)s)")
     p_check.set_defaults(handler=_cmd_check_dual)
 
     p_pot = sub.add_parser("potential", help="convex potential of a frame")

@@ -162,9 +162,7 @@ def complete(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> Completion
     if completion_plan.feasible:
         s0 = frame_operator(problem.initial)
         added = realize_frame(optimal_B(s0, completion_plan), problem.beta, tol * problem.t)
-        synth = problem.initial.synthesis
-        dtype = np.result_type(synth.dtype, added.dtype)
-        completed = Frame(np.hstack([synth.astype(dtype), added.astype(dtype)]))
+        completed = Frame(np.hstack([problem.initial.synthesis, added]))
     return CompletionResult(
         feasible=completion_plan.feasible,
         nu=completion_plan.nu,

@@ -25,9 +25,7 @@ def _check_square(a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or (
-        np.iscomplexobj(arr) and not np.all(np.isfinite(arr.imag))
-    ):
+    if not np.isfinite(arr).all():
         raise NotHermitian("matrix entries must be finite")
     return arr
 

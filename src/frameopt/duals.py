@@ -6,7 +6,8 @@ trace is at least t, the submajorization-minimal operator spectrum is the
 waterfilling spectrum of the inverse-operator eigenvalues with rank bound
 m = 2d - n, and a dual attaining it is built from the canonical dual by
 adding mass supported on ker(synthesis) paired with the trailing
-eigenvectors of S_F^{-1}.
+eigenvectors of S_F^{-1}.  ``nu`` owns the trace rule (BadTrace below
+tr(S_F^{-1})) and cuts the increment that becomes the dual's mass.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_linalg import HermitianPSD, null_space_onb
-from .errors import BadTrace, InsufficientCorank, NotSpanning
+from .errors import InsufficientCorank, NotSpanning
 from .frames import Frame, frame_operator, frame_to_json, inverse_operator
-from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec
+from .majorization import DEFAULT_TOL, SpectrumVec
 from .spectra import NuBreakdown, minimizer_is_unique, nu
 
 
@@ -43,25 +44,18 @@ class DualResult:
 
 
 def _solve_spectrum(problem: DualProblem, tol: float):
-    """S_F^{-1}, the clamped trace bound and the minimal spectrum."""
+    """S_F^{-1} and the minimal spectrum at the trace bound."""
     if problem.frame.n <= problem.frame.d:
         raise InsufficientCorank(
             "a basis has no redundancy: its only dual is the canonical dual"
         )
     sinv = inverse_operator(problem.frame)
-    t0 = sinv.eigenvalues.trace()
-    if problem.t < t0 * (1.0 - tol):
-        raise BadTrace(
-            f"trace bound {problem.t} is below tr(S_F^-1) = {t0}; "
-            "the constraint would be vacuous"
-        )
-    t = max(float(problem.t), t0)
-    return sinv, t, nu(sinv.eigenvalues, problem.m, t, tol)
+    return sinv, nu(sinv.eigenvalues, problem.m, problem.t, tol)
 
 
 def optimal_dual_spectrum(problem: DualProblem, tol: float = DEFAULT_TOL) -> NuBreakdown:
     """Minimal dual-operator spectrum among duals with trace >= t (relative tol)."""
-    return _solve_spectrum(problem, tol)[2]
+    return _solve_spectrum(problem, tol)[1]
 
 
 def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
@@ -73,26 +67,21 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     the synthesis, so S_W = S_F^{-1} + Z*Z and duality is untouched.  The
     masses are the increment of the minimal spectrum, as in completion.
 
-    ``tol`` is relative: t may fall short of tr(S_F^{-1}) by that fraction
-    (it is then raised to it), and BadTrace is raised below that.
+    ``tol`` is relative, as in ``nu``: t may fall short of tr(S_F^{-1}) by
+    that fraction, and BadTrace is raised below that.  The q = d - kept
+    masses always fit the n - d kernel directions, since kept >= m = 2d - n.
     """
     frame = problem.frame
-    sinv, t, breakdown = _solve_spectrum(problem, tol)
-    d, n = frame.d, frame.n
+    sinv, breakdown = _solve_spectrum(problem, tol)
     lam = sinv.eigenvalues
     kept = breakdown.kept
-    q = d - kept
-    if q > n - d:
-        raise InsufficientCorank(f"need {q} kernel directions, frame offers {n - d}")
-    # summation-order residue would be amplified by the square root below
-    mass = breakdown.increment
-    mass = np.where(mass <= TIE_TOL * breakdown.c, 0.0, mass)
+    q = frame.d - kept
     h = sinv.eigenvectors
     # analysis matrix of the canonical dual S_F^{-1} F
     dual_analysis = frame.analysis @ sinv.matrix
     if q > 0:
         kernel = null_space_onb(frame.synthesis)
-        z = (kernel[:, :q] * np.sqrt(mass)) @ h[:, kept:].conj().T
+        z = (kernel[:, :q] * np.sqrt(breakdown.increment)) @ h[:, kept:].conj().T
         dual_analysis = dual_analysis + z
     operator = HermitianPSD._trusted(
         np.concatenate((lam.values[:kept], np.full(q, breakdown.c))), h
@@ -101,8 +90,15 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
         dual=Frame(dual_analysis.conj().T),
         operator=operator,
         nu=breakdown.nu,
-        unique_S=minimizer_is_unique(lam, problem.m, t, tol),
+        unique_S=minimizer_is_unique(lam, problem.m, problem.t, tol),
     )
+
+
+def _operator_spectrum(frame: Frame):
+    """Frame-operator eigenvalues of a spanning frame, and m = 2d - n."""
+    if not frame.spanning:
+        raise NotSpanning("duality needs a spanning frame")
+    return frame_operator(frame).eigenvalues.values, 2 * frame.d - frame.n
 
 
 def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
@@ -112,14 +108,8 @@ def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     eigenvalue must have multiplicity at least m = 2d - n, within
     tol times the largest eigenvalue.
     """
-    if not frame.spanning:
-        raise NotSpanning("duality needs a spanning frame")
-    d, n = frame.d, frame.n
-    m = 2 * d - n
-    if m <= 0:
-        return True
-    w = frame_operator(frame).eigenvalues.values
-    return bool(w[d - m] - w[d - 1] <= tol * w[0])
+    w, m = _operator_spectrum(frame)
+    return m <= 0 or bool(w[-m] - w[-1] <= tol * w[0])
 
 
 def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
@@ -129,14 +119,10 @@ def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     frame-operator eigenvalues must all equal 1 exactly.  ``tol`` is
     absolute: the comparison is against the identity, whose scale is 1.
     """
-    if not frame.spanning:
-        raise NotSpanning("duality needs a spanning frame")
-    d, n = frame.d, frame.n
-    m = 2 * d - n
-    w = frame_operator(frame).eigenvalues.values
+    w, m = _operator_spectrum(frame)
     if m <= 0:
-        return bool(w[d - 1] >= 1.0 - tol)
-    return bool(abs(w[d - m] - 1.0) <= tol and abs(w[d - 1] - 1.0) <= tol)
+        return bool(w[-1] >= 1.0 - tol)
+    return bool(abs(w[-m] - 1.0) <= tol and abs(w[-1] - 1.0) <= tol)
 
 
 def dual_to_json(result: DualResult) -> dict:

@@ -27,9 +27,7 @@ class Frame:
             raise ShapeMismatch("frame needs at least one vector in dimension >= 1")
         dtype = complex if np.iscomplexobj(arr) else float
         mat = np.array(arr, dtype=dtype, copy=True)
-        if not np.all(np.isfinite(mat.real)) or (
-            np.iscomplexobj(mat) and not np.all(np.isfinite(mat.imag))
-        ):
+        if not np.isfinite(mat).all():
             raise ShapeMismatch("frame entries must be finite")
         mat.flags.writeable = False
         self._synthesis = mat
@@ -84,11 +82,14 @@ def frame_bounds(frame: Frame):
 
 
 def inverse_operator(frame: Frame) -> HermitianPSD:
-    """S_F^{-1}, assembled on the eigenbasis of the frame operator."""
+    """S_F^{-1} on the frame operator's eigenbasis; SingularFrameOperator if S is subnormal."""
     if not frame.spanning:
         raise NotSpanning("inverse frame operator needs a spanning frame")
     op = frame.operator()
-    return HermitianPSD._trusted(1.0 / op.eigenvalues.values, op.eigenvectors)
+    w = op.eigenvalues.values
+    if w[-1] < np.finfo(float).tiny:
+        raise SingularFrameOperator(f"frame operator eigenvalue {w[-1]:.3e} is subnormal")
+    return HermitianPSD._trusted(1.0 / w, op.eigenvectors)
 
 
 def canonical_dual(frame: Frame) -> Frame:
@@ -104,8 +105,8 @@ def duality_residual(frame: Frame, other: Frame) -> float:
     return float(np.linalg.norm(prod - np.eye(frame.d)))
 
 
-def is_dual(frame: Frame, other: Frame, tol: float = 1e-8) -> bool:
-    """Whether ``other`` reconstructs with ``frame``: sum g_i f_i* = identity."""
+def is_dual(frame: Frame, other: Frame, tol: float = GATE_TOL) -> bool:
+    """Whether ``other`` reconstructs with ``frame``: sum g_i f_i* = identity within tol."""
     return duality_residual(frame, other) <= tol
 
 

@@ -19,9 +19,9 @@ from .errors import DomainError, LengthMismatch
 # follow a rescaling F -> aF.  A solver's ``tol`` is relative too; a
 # predicate's ``tol`` is absolute (the caller supplies both sides).
 DEFAULT_TOL = 1e-9  # solver default; traces, spectrum order and sign
-TIE_TOL = 1e-12  # waterfilling ties, the dual's mass cut, unit rotations
+TIE_TOL = 1e-12  # waterfilling ties, the increment cut, unit rotations
 PSD_TOL = 1e-10  # symmetry, positive semidefiniteness, numerical rank
-GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots
+GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality test
 
 
 class SpectrumVec:
@@ -93,10 +93,7 @@ class PotentialKind(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "PotentialKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown potential kind {name!r}")
+        return cls(name)
 
 
 def sort_desc(x) -> np.ndarray:

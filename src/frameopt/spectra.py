@@ -43,10 +43,11 @@ class NuBreakdown:
     """Minimal spectrum at trace t together with its building blocks.
 
     ``kept`` is r' = max(r, m): the top ``kept`` entries of ``lam`` stay as
-    they are.  ``increment`` holds the masses c - lam_i, i > kept (clamped
-    at 0, read-only), that both solvers place on the trailing ``d - kept``
-    eigenvectors: completion factors them into vectors of prescribed norms,
-    the optimal dual into orthonormal kernel directions.
+    they are.  ``increment`` holds the masses c - lam_i, i > kept (read-only),
+    that both solvers place on the trailing ``d - kept`` eigenvectors:
+    completion factors them into vectors of prescribed norms, the optimal
+    dual into orthonormal kernel directions.  A mass at most TIE_TOL * c is
+    summation-order residue, which a square root would amplify: it is cut to 0.
     """
 
     r: int
@@ -184,10 +185,10 @@ def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
     raised to the level c; ``regime`` names the piece of the rule (t
     against s* and s**).  The result has trace t and is nonincreasing;
     whether it is entrywise above ``lam`` at the capped positions is the
-    caller's membership question.  ``tol`` is relative: t may fall short
-    of tr(lam) by tol * tr(lam), and an increment may come out below zero
-    by tol * t from rounding (it is then clamped at 0).  A t whose level c
-    underflows and loses trace mass (``nu([0, 0], 0, 5e-324)``) raises BadTrace.
+    caller's membership question.  ``nu`` owns both solvers' trace rule,
+    with ``tol`` relative: t may fall short of tr(lam) by tol * tr(lam), and
+    an increment may fall below zero by tol * t (it is then cut to 0).  A t
+    whose level c underflows (``nu([0, 0], 0, 5e-324)``) raises BadTrace too.
     """
     values = spectrum_values(lam)
     return _nu(values, _check_m(values, m), t, tol)
@@ -216,7 +217,7 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
     increment = c - values[kept:]
     if (increment < -tol * t).any():
         raise ArithmeticError("gap vector came out negative")
-    np.maximum(increment, 0.0, out=increment)
+    increment[increment <= TIE_TOL * c] = 0.0
     increment.flags.writeable = False
     return NuBreakdown(r=r, c=c, s_star=sst, s_star_star=sstst, nu=spectrum, regime=regime,
                        kept=kept, increment=increment)

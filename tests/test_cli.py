@@ -154,6 +154,14 @@ class TestDual:
         assert code == 6
         assert err
 
+    def test_subnormal_operator_exit(self, capsys, tmp_path):
+        tiny = fo.Frame(1e-160 * np.random.default_rng(5).standard_normal((3, 5)))
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(fo.frame_to_json(tiny)))
+        code, out, err = run(capsys, "dual", "--frame", str(path), "--t", "1e300")
+        assert code == 6
+        assert not out and "subnormal" in err
+
     def test_basis_exit(self, capsys, tmp_path):
         # a basis has no redundancy, so no dual but the canonical one
         path = tmp_path / "basis.json"
@@ -171,6 +179,16 @@ class TestCheckDual:
         assert code == 0
         obj = json.loads(out)
         assert obj["is_dual"] is True and obj["residual"] <= 1e-15
+
+    def test_default_verdict_matches_library(self, capsys, tmp_path):
+        # a residual of ~5e-9, as the library's own duals reach near the spanning gate
+        frame, near = fo.Frame(np.eye(2)), fo.Frame(np.diag([1.0 + 5e-9, 1.0]))
+        for name, f in (("f.json", frame), ("w.json", near)):
+            (tmp_path / name).write_text(json.dumps(fo.frame_to_json(f)))
+        code, out, _ = run(capsys, "check-dual", "--frame", str(tmp_path / "f.json"),
+                           "--dual", str(tmp_path / "w.json"))
+        assert code == 0
+        assert json.loads(out)["is_dual"] is fo.is_dual(frame, near) is True
 
     def test_non_dual_pair(self, capsys, tmp_path):
         doubled = fo.Frame(np.hstack([np.eye(2), np.eye(2)]))
@@ -224,6 +242,23 @@ class TestInputHandling:
         code, _, err = run(capsys, "complete", "--frame", str(path), "--beta", "1")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "bad frame JSON: Expecting property name enclosed in double quotes: "
+                          "line 1 column 2 (char 1)"),
+            ('{"d": 2, "n": 3, "vectors": [[1, 0]]}', "expected 3 vectors"),
+            (None, "cannot read '{path}': [Errno 2] No such file or directory: '{path}'"),
+        ],
+    )
+    def test_frame_parse_errors(self, capsys, tmp_path, text, message):
+        path = tmp_path / "f.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "dual", "--frame", str(path), "--t", "5")
+        assert (code, out) == (2, "")
+        assert err == "frameopt: " + message.format(path=path) + "\n"
 
     def test_bad_beta_exit(self, capsys, ej1_path):
         code, _, err = run(capsys, "complete", "--frame", ej1_path, "--beta", "1,oops")

@@ -15,7 +15,7 @@ from frameopt import (
     parseval_dual_exists,
     tight_dual_exists,
 )
-from frameopt.errors import BadTrace, InsufficientCorank, NotSpanning
+from frameopt.errors import BadTrace, InsufficientCorank, NotSpanning, SingularFrameOperator
 
 from conftest import DUAL_SYNTHESIS, count_calls, frame_with_spectrum
 
@@ -98,6 +98,24 @@ class TestOptimalDual:
     def test_rejects_low_trace(self, dual_frame):
         with pytest.raises(BadTrace):
             optimal_dual(DualProblem(dual_frame, 9.0))
+
+    def test_trace_slack_is_relative(self, dual_frame):
+        # nu's rule: t may fall short of tr(S_F^-1) by the fraction tol, no more
+        w = inverse_operator(dual_frame).eigenvalues.values
+        t0, tol = float(w.sum()), 1e-6
+        res = optimal_dual(DualProblem(dual_frame, t0 * (1.0 - tol / 2)), tol)
+        assert np.max(np.abs(res.nu.values - w)) <= 1e-12 * w[0]
+        with pytest.raises(BadTrace):
+            optimal_dual(DualProblem(dual_frame, t0 * (1.0 - 2 * tol)), tol)
+
+    def test_subnormal_operator(self):
+        # at scale 1e-160 the spanning gate passes, but 1 / S would overflow
+        frame = Frame(1e-160 * np.random.default_rng(5).standard_normal((3, 5)))
+        assert frame.spanning
+        with pytest.raises(SingularFrameOperator):
+            inverse_operator(frame)
+        with pytest.raises(SingularFrameOperator):
+            optimal_dual(DualProblem(frame, 1e300))
 
     def test_rejects_basis(self):
         with pytest.raises(InsufficientCorank):

@@ -1,10 +1,10 @@
-"""Both solvers at frame scales 1e-80 and 1e80, with no floating-point warning.
+"""Both solvers at frame scales 1e+-80, 1e+-100 and 1e+-150, with no warning.
 
-There the frame operator sits near 1e-160 or 1e160, so a Frobenius norm
-of S, or a frame potential, that squares its entries leaves the float
-range.  Warnings are errors in this suite, so a spurious overflow fails
-here.  Every answer is checked with the certificates of
-``test_symmetries`` and against the unscaled problem.
+There the frame operator sits as low as 1e-300 or as high as 1e300, so
+a Frobenius norm of S, or a frame potential, that squares its entries
+leaves the float range.  Warnings are errors in this suite, so a
+spurious overflow fails here.  Every answer is checked with the
+certificates of ``test_symmetries`` and against the unscaled problem.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from test_symmetries import (
     _rel,
 )
 
-EXTREMES = (1e-80, 1e80)
+EXTREMES = (1e-80, 1e80, 1e-100, 1e100, 1e-150, 1e150)
 
 
 def test_completion_at_extreme_scales(rng):

@@ -159,6 +159,11 @@ class TestNu:
             nu([0.0, 0.0], 0, 5e-324)
         assert nu([0.0, 0.0], 0, 1e-300).nu.values.tolist() == [5e-301, 5e-301]
 
+    def test_increment_cuts_summation_residue(self):
+        # at t = tr(lam) the raw mass c - lam_3 is ~8e-17, below TIE_TOL * c
+        breakdown = nu([0.9, 0.4, 0.1], 1, 1.4)
+        assert breakdown.increment.tolist() == [0.0]
+
     def test_regime_classification(self):
         assert nu(LAM_B, 2, 22.0).regime is Regime.AT_OR_BELOW_S_STAR
         assert nu(LAM_B, 2, 23.0).regime is Regime.AT_OR_BELOW_S_STAR
