@@ -147,7 +147,7 @@ def frame_from_json(obj) -> Frame:
         d = int(obj["d"])
         n = int(obj["n"])
         vectors = obj["vectors"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"frame JSON needs integer d, n and vectors: {exc}") from exc
     if not isinstance(vectors, list) or len(vectors) != n:
         raise ValueError(f"expected {n} vectors")

@@ -35,19 +35,19 @@ class SpectrumVec:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = np.array(values, dtype=float, copy=True).reshape(-1)
+        v = np.array(values, dtype=float).reshape(-1)
         if v.size == 0:
             raise ValueError("spectrum must have at least one entry")
-        top = float(np.abs(v).max())  # NaN and +-inf propagate through max
+        top = float(np.maximum.reduce(np.abs(v)))  # NaN and +-inf propagate through max
         if not math.isfinite(top):
             raise ValueError("spectrum entries must be finite")
         slack = DEFAULT_TOL * top
-        if (v[1:] > v[:-1] + slack).any():
+        if np.count_nonzero(v[1:] > v[:-1] + slack):
             raise ValueError("spectrum entries must be nonincreasing")
         if float(v[-1]) < -slack:
             raise ValueError("spectrum entries must be nonnegative")
         np.maximum(v, 0.0, out=v)
-        v.flags.writeable = False
+        v.setflags(write=False)
         self.values = v
 
     @property
@@ -55,7 +55,7 @@ class SpectrumVec:
         return self.values.size
 
     def trace(self) -> float:
-        return float(self.values.sum())
+        return float(np.add.reduce(self.values))
 
     def __len__(self) -> int:
         return self.values.size
@@ -136,7 +136,8 @@ def entrywise_leq(x, y, tol: float = DEFAULT_TOL) -> bool:
 
 
 def trace_f(x, kind: PotentialKind) -> float:
-    """Sum of f(x_i) for the potential ``kind``; a frame potential that overflows is inf."""
+    """Sum of f(x_i) for the potential ``kind``; a frame potential or mean square
+    error that overflows (x huge, or x subnormal for 1/x) is inf."""
     v = np.asarray(getattr(x, "values", x), dtype=float).reshape(-1)
     if kind is PotentialKind.FRAME_POTENTIAL:
         with np.errstate(over="ignore"):
@@ -144,7 +145,8 @@ def trace_f(x, kind: PotentialKind) -> float:
     if kind is PotentialKind.MEAN_SQUARE_ERROR:
         if np.any(v <= 0.0):
             raise DomainError("mean square error needs strictly positive entries")
-        return float(np.sum(1.0 / v))
+        with np.errstate(over="ignore"):
+            return float(np.sum(1.0 / v))
     if kind is PotentialKind.NEG_ENTROPY:
         if np.any(v < 0.0):
             raise DomainError("x log x needs nonnegative entries")

@@ -11,12 +11,14 @@ This module computes the unique spectrum ``nu`` in that set which is
 minimal for submajorization.  It has a waterfilling shape: the trailing
 eigenvalues are raised to a common level ``c`` while at most the top ``r``
 entries of ``lam`` survive unchanged.  One private kernel, ``_waterfill``,
-computes the cutoff ``r`` and the level ``c`` for a batch of traces; every
-public function validates its inputs once (spectrum, ``m``, trace) and then
-calls it.  ``irregularity`` and ``c_lambda`` are its ``m = 0`` cases, and
-``s_star`` / ``s_star_star`` are the trace thresholds where the rank bound
-starts to bite and where the level passes the top of the spectrum.  The
-solvers' ``tol`` is relative to the trace; ``in_lambda_set``'s is absolute.
+computes the cutoff ``r`` and the level ``c`` for a batch of B traces, with
+its tests laid out (B, d), one row per trace: the scalar ``nu`` runs the same
+code on one contiguous row.  Every public function validates its inputs once
+(spectrum, ``m``, trace) and then calls it.  ``irregularity`` and
+``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
+the trace thresholds where the rank bound starts to bite and where the level
+passes the top of the spectrum.  The solvers' ``tol`` is relative to the
+trace; ``in_lambda_set``'s is absolute.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class Regime(enum.Enum):
     AT_OR_ABOVE_S_STAR_STAR = "at_or_above_s_star_star"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NuBreakdown:
     """Minimal spectrum at trace t together with its building blocks.
 
@@ -58,6 +60,12 @@ class NuBreakdown:
     regime: Regime
     kept: int
     increment: np.ndarray
+
+    def __init__(self, r, c, s_star, s_star_star, nu, regime, kept, increment):
+        # One dict update: the generated frozen __init__ calls object.__setattr__
+        # once per field, at about twice the cost, and every nu call builds one.
+        vars(self).update(r=r, c=c, s_star=s_star, s_star_star=s_star_star, nu=nu,
+                          regime=regime, kept=kept, increment=increment)
 
 
 def _clamped_trace(values: np.ndarray, t, tol: float):
@@ -79,7 +87,7 @@ def _check_m(values: np.ndarray, m) -> int:
 
 def _thresholds(values: np.ndarray, m: int) -> tuple[float, float]:
     """(s*, s**) for a validated spectrum and 1 <= m < d."""
-    head, tail = float(values[:m].sum()), values.size - m
+    head, tail = float(np.add.reduce(values[:m])), values.size - m
     return head + tail * float(values[m - 1]), tail * float(values[0]) + head
 
 
@@ -94,30 +102,36 @@ def _checked_thresholds(lam, m) -> tuple[float, float]:
 def _waterfill(values: np.ndarray, m: int, tt: np.ndarray, sst: float | None = None):
     """Cutoff r and level c at each trace of ``tt`` (1-d, already clamped).
 
-    For m >= 1, past s* the level rises from lam_m and the cutoff is the
-    first entry at or below it; a caller holding s* passes it as ``sst``.
-    The last row of each test holds exactly (t >= tr(lam) gives
-    p(d-1, t) >= lam_d, and c >= lam_d), so it is set true rather than left
-    to rounding.  Ties are decided within 1e-12 t, so exact-rational ties
-    resolve the way the closed-form math dictates.
+    The tests are laid out (B, d), one row per trace, so a single trace is
+    one contiguous row.  For m >= 1 the level past s* has a closed form: it
+    rises from lam_m, and the waterfilling search (the m = 0 case) runs only
+    on the traces at or below s*; a caller holding s* passes it as ``sst``.
+    The cutoff is then the first entry at or below the level.  The last
+    column of each test holds exactly (t >= tr(lam) gives p(d-1, t) >= lam_d,
+    and c >= lam_d), so it is set true rather than left to rounding.  Ties
+    are decided within 1e-12 t, so exact-rational ties resolve the way the
+    closed-form math dictates.
     """
     d = values.size
-    prefix = np.concatenate(([0.0], values.cumsum()))[:d]
-    denom = np.arange(d, 0, -1, dtype=float)
-    levels = (tt - prefix[:, None]) / denom[:, None]
-    slack = TIE_TOL * tt
-    fits = levels >= values[:, None] - slack
-    fits[-1] = True
-    r = fits.argmax(axis=0)
-    c = levels[r, np.arange(tt.size)]
+    slack = TIE_TOL * tt[:, None]
     if m >= 1:
         if sst is None:
             sst = _thresholds(values, m)[0]
-        c = np.where(tt <= sst, c, values[m - 1] + (tt - sst) / (d - m))
-        below = values[:, None] <= c + slack
-        below[-1] = True
-        r = below.argmax(axis=0)
-    return r, c
+        c = float(values[m - 1]) + (tt - sst) / (d - m)
+        low = tt <= sst
+        if np.count_nonzero(low):
+            c[low] = _waterfill(values, 0, tt[low])[1]
+        below = values <= c[:, None] + slack
+        below[:, -1] = True
+        return below.argmax(axis=1), c
+    prefix = np.zeros(d)
+    np.add.accumulate(values[:-1], out=prefix[1:])
+    levels = np.subtract.outer(tt, prefix)
+    levels /= np.arange(d, 0, -1, dtype=float)
+    fits = levels >= values - slack
+    fits[:, -1] = True
+    r = fits.argmax(axis=1)
+    return r, levels[np.arange(tt.size), r]
 
 
 def _solve(lam, m, t, tol: float):
@@ -196,7 +210,7 @@ def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
 
 def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
     d = values.size
-    t0, t = float(values.sum()), float(t)
+    t0, t = float(np.add.reduce(values)), float(t)
     if t < t0 * (1.0 - tol):  # _clamped_trace on a Python float
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
     t = t0 if t <= t0 else t  # as np.maximum: NaN passes, -0.0 becomes t0
@@ -209,18 +223,22 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
     r_arr, c_arr = _waterfill(values, m, np.array([t]), sst)
     r, c = int(r_arr[0]), float(c_arr[0])
     kept = max(r, m)
-    spectrum = SpectrumVec(np.concatenate((values[:r], np.full(d - kept, c), values[r:kept])))
+    capped = r + d - kept  # the entries lam[r:kept] close the spectrum from here
+    raised = np.empty(d)
+    raised[:r] = values[:r]
+    raised[r:capped] = c
+    raised[capped:] = values[r:kept]
+    spectrum = SpectrumVec(raised)
     if abs(spectrum.trace() - t) > DEFAULT_TOL * t:
         if c < np.finfo(float).tiny:
             raise BadTrace(f"trace target {t} underflows the level c = {c}")
         raise ArithmeticError("assembled spectrum lost trace mass")
-    increment = c - values[kept:]
-    if (increment < -tol * t).any():
+    increment = c - values[kept:]  # kept <= d - 1, so never empty
+    if np.minimum.reduce(increment) < -tol * t:
         raise ArithmeticError("gap vector came out negative")
     increment[increment <= TIE_TOL * c] = 0.0
-    increment.flags.writeable = False
-    return NuBreakdown(r=r, c=c, s_star=sst, s_star_star=sstst, nu=spectrum, regime=regime,
-                       kept=kept, increment=increment)
+    increment.setflags(write=False)
+    return NuBreakdown(r, c, sst, sstst, spectrum, regime, kept, increment)
 
 
 def minimizer_is_unique(lam, m: int, t, tol: float = DEFAULT_TOL) -> bool:

@@ -260,6 +260,14 @@ class TestInputHandling:
         assert (code, out) == (2, "")
         assert err == "frameopt: " + message.format(path=path) + "\n"
 
+    def test_overflowing_dimension_exit(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"d": 1e999, "n": 1, "vectors": [[1.0]]}')  # d parses as inf
+        code, out, err = run(capsys, "potential", "--frame", str(path), "--kind", "fp")
+        assert (code, out) == (2, "")
+        assert err == ("frameopt: frame JSON needs integer d, n and vectors: "
+                       "cannot convert float infinity to integer\n")
+
     def test_bad_beta_exit(self, capsys, ej1_path):
         code, _, err = run(capsys, "complete", "--frame", ej1_path, "--beta", "1,oops")
         assert code == 2

@@ -37,6 +37,19 @@ def test_completion_at_extreme_scales(rng):
         assert res.lower_bounds["fp"] == np.inf
 
 
+def test_completion_near_underflow(rng):
+    # nu ~ 1e-310 is subnormal: 1 / nu overflows, so the MSE bound is inf
+    alpha = 1e-155
+    for _ in range(10):
+        a, beta = _completion_case(rng)
+        base = _certified_completion(a, beta)
+        res = _certified_completion(alpha * a, alpha**2 * beta)
+        assert res.feasible == base.feasible
+        assert _rel(res.nu.values / alpha**2, base.nu.values) <= REL
+        assert res.unique_B == base.unique_B
+        assert res.lower_bounds["mse"] == np.inf
+
+
 def test_dual_at_extreme_scales(rng):
     for _ in range(10):
         a, t = _dual_case(rng)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,15 @@ class TestNu:
             ).max()
             assert jump <= 1e-4
 
+    @pytest.mark.parametrize("m", [-1, 0, 1, 3])
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_trace_raises_without_warning(self, m, t):
+        # the output SpectrumVec is what rejects a level computed from t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                nu(LAM_B, m, t)
+
     def test_bad_m(self):
         with pytest.raises(BadM):
             nu(LAM_A, 5, 30.0)
@@ -305,6 +316,28 @@ def test_nu_matches_batched_cutoff_and_level(rng):
         for i, t in enumerate(grid):
             b = nu(lam, m, float(t))
             assert b.r == rs[i] and b.c == cs[i]
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [LAM_B, [5.0, 2.0, 2.0, 0.0, 0.0, 0.0], [3.0, 3.0, 3.0, 3.0], [1.0, 0.0]],
+    ids=["tied", "tied-zero-tail", "constant", "d2-zero-tail"],
+)
+def test_batched_kernel_equals_scalar_nu(lam):
+    # one batch mixes traces at, just below and just past s* (and s**), so
+    # the kernel's rows take both the waterfilling search and the closed
+    # form past s*; each row must equal the scalar nu at that trace exactly
+    d, tr = len(lam), float(sum(lam))
+    for m in sorted({-2, 0, 1, d - 1}):
+        edges = [s_star(lam, m), s_star_star(lam, m)] if m >= 1 else [d * lam[0]]
+        grid = [tr, *edges, *np.linspace(tr, 2.0 * max(edges) - tr, 9)]
+        for e in edges:
+            grid += [np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+        grid = np.array([t for t in grid if t >= tr])
+        rs, cs = r_lambda_m(lam, m, grid), c_lambda_m(lam, m, grid)
+        for i, t in enumerate(grid):
+            b = nu(lam, m, float(t))
+            assert (b.r, b.c) == (rs[i], cs[i]), (m, t)
 
 
 def test_nu_validates_each_spectrum_once(monkeypatch):
