@@ -25,7 +25,6 @@ from .majorization import (
     PotentialKind,
     SpectrumVec,
     majorizes,
-    sort_desc,
     trace_f,
 )
 from .schur_horn import realize_frame
@@ -101,9 +100,9 @@ def plan(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionPlan
         raise RankDeficient(f"rank(S_F0) must be at least d - k = {d - k}")
     breakdown = nu(lam, m, t, tol)
     mu_hat = breakdown.increment
-    padded = np.zeros(k)
-    padded[: mu_hat.size] = sort_desc(mu_hat)[:k]
-    feasible = majorizes(padded, sort_desc(problem.beta), tol * t)
+    padded = np.zeros(k)  # mu_hat.size = d - kept <= d - m = k
+    padded[: mu_hat.size] = mu_hat
+    feasible = majorizes(padded, problem.beta, tol * t)
     unique = minimizer_is_unique(lam, m, t, tol)
     return CompletionPlan(
         r_hat=breakdown.kept,

@@ -40,14 +40,23 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
         return v
     mag = np.abs(v)
     mask = mag > GATE_TOL * np.linalg.norm(v, axis=0)
-    cols = np.flatnonzero(mask.any(axis=0))
-    rows = mask[:, cols].argmax(axis=0)
+    rows = mask.argmax(axis=0)  # first significant entry; 0 in a column with none
+    cols = np.arange(v.shape[1])
+    pivoted = mask[rows, cols]
+    every = pivoted.all()  # always so for eigenvectors and Schur-Horn vectors
+    if not every:
+        rows, cols = rows[pivoted], cols[pivoted]
     pivot = v[rows, cols]
     if np.iscomplexobj(v):
-        v[:, cols] *= np.conj(pivot) / mag[rows, cols]
-        v[rows, cols] = mag[rows, cols]
+        phase = np.conj(pivot) / mag[rows, cols]
     else:
-        v[:, cols] *= np.where(pivot < 0.0, -1.0, 1.0)
+        phase = np.where(pivot < 0.0, -1.0, 1.0)
+    if every:
+        v *= phase  # in place, broadcast over the rows: no column copy
+    else:
+        v[:, cols] *= phase
+    if np.iscomplexobj(v):
+        v[rows, cols] = mag[rows, cols]
     return v
 
 

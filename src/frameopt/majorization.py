@@ -99,7 +99,7 @@ class PotentialKind(enum.Enum):
 def sort_desc(x) -> np.ndarray:
     """Rearrangement of x in nonincreasing order (stable, returns a copy)."""
     v = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("entries must be finite")
     return -np.sort(-v, kind="stable")
 
@@ -112,21 +112,25 @@ def _pair(x, y):
     return xv, yv
 
 
+def _prefix_sums_within(y, x, tol: float):
+    """Descending rearrangements of x and y, and whether every prefix sum of
+    x's is at most y's plus tol.  Lengths and finiteness are checked first."""
+    xv, yv = _pair(x, y)
+    xs, ys = sort_desc(xv), sort_desc(yv)
+    return xs, ys, bool((np.cumsum(xs) <= np.cumsum(ys) + tol).all())
+
+
 def submajorizes(y, x, tol: float = DEFAULT_TOL) -> bool:
     """True iff x is submajorized by y: every k-prefix sum of the descending
     rearrangement of x is at most that of y, within tol."""
-    xv, yv = _pair(x, y)
-    cx = np.cumsum(sort_desc(xv))
-    cy = np.cumsum(sort_desc(yv))
-    return bool(np.all(cx <= cy + tol))
+    return _prefix_sums_within(y, x, tol)[2]
 
 
 def majorizes(y, x, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x is majorized by y: submajorized plus equal trace within tol."""
-    xv, yv = _pair(x, y)
-    if abs(xv.sum() - yv.sum()) > tol:
-        return False
-    return submajorizes(yv, xv, tol)
+    """True iff x is majorized by y: submajorized plus equal trace within tol
+    (the traces are summed over the descending rearrangements)."""
+    xs, ys, within = _prefix_sums_within(y, x, tol)
+    return within and not abs(float(np.add.reduce(xs)) - float(np.add.reduce(ys))) > tol
 
 
 def entrywise_leq(x, y, tol: float = DEFAULT_TOL) -> bool:
@@ -136,8 +140,8 @@ def entrywise_leq(x, y, tol: float = DEFAULT_TOL) -> bool:
 
 
 def trace_f(x, kind: PotentialKind) -> float:
-    """Sum of f(x_i) for the potential ``kind``; a frame potential or mean square
-    error that overflows (x huge, or x subnormal for 1/x) is inf."""
+    """Sum of f(x_i) for the potential ``kind``; a sum that overflows (x huge,
+    or x subnormal for 1/x) is inf."""
     v = np.asarray(getattr(x, "values", x), dtype=float).reshape(-1)
     if kind is PotentialKind.FRAME_POTENTIAL:
         with np.errstate(over="ignore"):
@@ -151,5 +155,6 @@ def trace_f(x, kind: PotentialKind) -> float:
         if np.any(v < 0.0):
             raise DomainError("x log x needs nonnegative entries")
         pos = v[v > 0.0]
-        return float(np.sum(pos * np.log(pos)))
+        with np.errstate(over="ignore"):
+            return float(np.sum(pos * np.log(pos)))
     raise TypeError(f"unsupported potential kind {kind!r}")

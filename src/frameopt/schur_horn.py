@@ -9,11 +9,13 @@ operator into vectors with prescribed squared norms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core_linalg import HermitianPSD, _fix_phases, _rotate_rows, psd_rank
+from .core_linalg import HermitianPSD, _fix_phases, psd_rank
 from .errors import NotMajorized, RankTooLarge
-from .majorization import DEFAULT_TOL, majorizes, sort_desc, spectrum_values
+from .majorization import DEFAULT_TOL, majorizes, spectrum_values
 
 
 def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
@@ -22,32 +24,39 @@ def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
     Returns ``(rotations, rows)``: ``rotations`` is a list of
     ``(i, j, c, s)`` row rotations to apply in order starting from the
     identity, and ``rows[p]`` names the matrix row that ends up holding
-    ``target[p]``.  Targets are pinned largest first, each time rotating
-    the two active diagonal values that straddle the target with the
-    smallest gap, so the chain is deterministic and numerically gentle.
+    ``target[p]``.  Targets are pinned largest first (equal targets in
+    index order), each time rotating the two active diagonal values that
+    straddle the target with the smallest gap: the smallest value at or
+    above it and the largest at or below it, the lowest row winning a tie.
+    A target equal to an active value is pinned there without a rotation.
+    A target within the slack above every active value takes the largest
+    one, and one below every active value the smallest, again without a
+    rotation.  The chain is deterministic and numerically gentle.
 
-    Raises NotMajorized unless target (sorted) is majorized by spectrum.
+    Raises NotMajorized unless target is majorized by spectrum.
     """
     lam = spectrum_values(spectrum)
     tgt = np.asarray(target, dtype=float).reshape(-1)
     k = lam.size
     if tgt.size != k:
         raise NotMajorized(f"target length {tgt.size} != spectrum length {k}")
-    if not majorizes(lam, sort_desc(tgt), tol):
+    if not majorizes(lam, tgt, tol):
         raise NotMajorized("target diagonal is not majorized by the spectrum")
 
-    vals = lam.astype(float).copy()  # vals[row] = current diagonal value
+    vals = lam.tolist()  # vals[row] = current diagonal value
+    targets = tgt.tolist()
     active = list(range(k))
-    rows = np.empty(k, dtype=int)
+    rows = [0] * k
     rotations: list[tuple[int, int, float, float]] = []
-    order = np.argsort(-tgt, kind="stable")
+    order = np.argsort(-tgt, kind="stable").tolist()
     for idx in order[:-1]:
-        b = float(tgt[idx])
+        b = targets[idx]
         hi = lo = -1
         for row in active:
-            if vals[row] >= b and (hi < 0 or vals[row] < vals[hi]):
+            v = vals[row]
+            if v >= b and (hi < 0 or v < vals[hi]):
                 hi = row
-            if vals[row] <= b and (lo < 0 or vals[row] > vals[lo]):
+            if v <= b and (lo < 0 or v > vals[lo]):
                 lo = row
         if hi < 0:  # b above every active value by at most the slack
             hi = max(active, key=lambda rr: (vals[rr], -rr))
@@ -55,27 +64,28 @@ def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
             lo = min(active, key=lambda rr: (vals[rr], rr))
         gap = vals[hi] - vals[lo]
         if hi != lo and gap > 0.0:
-            c2 = float(np.clip((b - vals[lo]) / gap, 0.0, 1.0))
-            c = float(np.sqrt(c2))
-            s = float(np.sqrt(1.0 - c2))
-            rotations.append((hi, lo, c, s))
+            c2 = min(max((b - vals[lo]) / gap, 0.0), 1.0)
+            rotations.append((hi, lo, math.sqrt(c2), math.sqrt(1.0 - c2)))
             vals[lo] = vals[hi] + vals[lo] - b
             vals[hi] = b
         # gap == 0 means the active value already equals the target: pin as is.
         rows[idx] = hi
         active.remove(hi)
     rows[order[-1]] = active[0]
-    return rotations, rows
+    return rotations, np.array(rows)
 
 
 def unitary_for_diagonal(spectrum, target, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``."""
     rotations, rows = rotation_chain(spectrum, target, tol)
-    k = np.asarray(target).size
-    u = np.eye(k)
+    u = np.eye(rows.size).tolist()
+    # givens_left's arithmetic on Python floats: c and s are real, so rows
+    # i, j become [c, s; -s, c] times them, rounded the same way
     for i, j, c, s in rotations:
-        _rotate_rows(u, i, j, c, s)
-    return u[rows, :]
+        ri, rj = u[i], u[j]
+        u[i] = [c * a + s * b for a, b in zip(ri, rj)]
+        u[j] = [-s * a + c * b for a, b in zip(ri, rj)]
+    return np.array([u[r] for r in rows.tolist()])
 
 
 def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray:

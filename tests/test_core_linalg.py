@@ -112,18 +112,27 @@ def _fix_phases_loop(v):
 @pytest.mark.parametrize("cplx", [False, True])
 def test_fix_phases_matches_loop(rng, cplx):
     for scale in (1e-3, 1.0, 1e3):
-        v = scale * rng.standard_normal((6, 8))
+        wide = scale * rng.standard_normal((6, 12))
         if cplx:
-            v = v + 1j * scale * rng.standard_normal((6, 8))
-        v[:2, 1] = 0.0  # pivot further down
-        v[:3, 2] = 1e-12  # entries below the threshold are skipped
-        v[:, 3] = 0.0  # no pivot at all: column left as is
-        fast, ref = _fix_phases(v.copy()), _fix_phases_loop(v)
-        if cplx:
-            # the broadcast complex product may round differently in the last bit
-            assert np.all(np.abs(fast - ref) <= 4 * np.finfo(float).eps * np.abs(v))
-        else:
-            assert np.array_equal(fast, ref)
+            wide = wide + 1j * scale * rng.standard_normal((6, 12))
+        wide[:2, 5] = 0.0  # pivot further down
+        wide[:3, 6] = 1e-12  # entries below the threshold are skipped
+        unpivoted = wide[:, 4:].copy()
+        unpivoted[:, 3] = 0.0  # no pivot at all: column left as is
+        layouts = (
+            unpivoted.copy,
+            wide[:, 4:].copy,  # every column has a pivot
+            lambda: wide.copy()[:, 4:],  # strided column slice, as null_space_onb passes
+        )
+        for make in layouts:
+            v = make()
+            mag, ref = np.abs(v), _fix_phases_loop(v)
+            fast = _fix_phases(v)
+            if cplx:
+                # the broadcast complex product may round differently in the last bit
+                assert np.all(np.abs(fast - ref) <= 4 * np.finfo(float).eps * mag)
+            else:
+                assert np.array_equal(fast, ref)
 
 
 class TestHermitianPSD:

@@ -63,6 +63,20 @@ class TestMajorizes:
         assert not majorizes([3.0, 1.0], [2.0, 1.0])
 
 
+@pytest.mark.parametrize("predicate", [majorizes, submajorizes])
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_raises_on_either_side(self, predicate, bad):
+        # validation comes before the trace test: inf is an error, not False
+        for y, x in (([1.0, 0.0], [bad, 0.0]), ([bad, 0.0], [1.0, 0.0])):
+            with pytest.raises(ValueError, match="finite"):
+                predicate(y, x)
+
+    def test_length_mismatch_comes_first(self, predicate):
+        with pytest.raises(LengthMismatch):
+            predicate([1.0, np.inf], [1.0])
+
+
 class TestEntrywise:
     def test_equal(self):
         assert entrywise_leq([1.0, 2.0], [1.0, 2.0])

@@ -67,3 +67,10 @@ def test_eigensystem_of_a_huge_matrix(rng):
         for alpha in (1e-160, 1e160):
             op = fo.HermitianPSD(alpha * s)
             assert _rel(op.eigenvalues.values / alpha, w) <= 1e-12
+
+
+def test_overflowing_neg_entropy_is_inf_without_warning():
+    assert fo.trace_f(np.full(4, 1e306), fo.PotentialKind.NEG_ENTROPY) == np.inf
+    # S = 1e306 I: x log x ~ 7e308 overflows on every eigenvalue
+    frame = fo.Frame(1e153 * np.eye(3))
+    assert fo.potential(frame, fo.PotentialKind.NEG_ENTROPY) == np.inf

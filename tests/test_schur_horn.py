@@ -167,3 +167,57 @@ def test_norms_of_any_family_are_majorized_by_operator_spectrum(rng):
         norms = np.zeros(max(d, k))
         norms[:k] = np.sum(np.abs(g) ** 2, axis=0)
         assert fo.majorizes(sigma, norms, 1e-8)
+
+
+# Exact chains: (i, j, c.hex(), s.hex()) per rotation, then rows.  The chain
+# is plain IEEE arithmetic (one division, clip and two square roots per
+# rotation), so these bits hold on every machine.
+GOLDEN_CHAINS = {
+    # tied spectrum entries: of the rows with equal values the lowest wins
+    "ties": (
+        [2.0, 2.0, 1.0, 1.0, 0.0],
+        [1.2, 1.2, 1.2, 1.2, 1.2],
+        [
+            (0, 2, "0x1.c9f25c5bfedd8p-2", "0x1.c9f25c5bfedd9p-1"),
+            (2, 3, "0x1.fffffffffffffp-2", "0x1.bb67ae8584caap-1"),
+            (3, 4, "0x1.bb67ae8584caap-1", "0x1.0000000000000p-1"),
+            (1, 4, "0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bcdp-1"),
+        ],
+        [0, 2, 3, 1, 4],
+    ),
+    # the first target equals an active value: pinned without a rotation
+    "pinned": (
+        [3.0, 2.0, 1.0],
+        [2.0, 2.0, 2.0],
+        [(0, 2, "0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bcdp-1")],
+        [1, 0, 2],
+    ),
+    # the first target lies within tol above every active value
+    "above": (
+        [1.0, 1.0, 0.5],
+        [1.0 + 1e-12, 0.9, 0.6 - 1e-12],
+        [(1, 2, "0x1.c9f25c5bfedd9p-1", "0x1.c9f25c5bfedd8p-2")],
+        [0, 1, 2],
+    ),
+    # every target lies within tol below every active value
+    "below": ([1.0, 1.0, 1.0], [1.0 - 1e-12] * 3, [], [0, 1, 2]),
+    # unsorted target with a tie of its own: stable order, lowest index first
+    "mixed": (
+        [4.0, 3.0, 3.0, 0.5, 0.0],
+        [0.5, 2.0, 3.0, 2.5, 2.5],
+        [
+            (2, 3, "0x1.c9f25c5bfedd9p-1", "0x1.c9f25c5bfedd8p-2"),
+            (0, 3, "0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bcdp-1"),
+            (3, 4, "0x1.c9f25c5bfedd9p-1", "0x1.c9f25c5bfedd8p-2"),
+        ],
+        [4, 3, 1, 2, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+def test_rotation_chain_golden(name):
+    lam, target, chain, rows = GOLDEN_CHAINS[name]
+    rotations, got_rows = rotation_chain(lam, target)
+    assert [(i, j, c.hex(), s.hex()) for i, j, c, s in rotations] == chain
+    assert got_rows.tolist() == rows
