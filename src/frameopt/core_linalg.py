@@ -43,20 +43,14 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     rows = mask.argmax(axis=0)  # first significant entry; 0 in a column with none
     cols = np.arange(v.shape[1])
     pivoted = mask[rows, cols]
-    every = pivoted.all()  # always so for eigenvectors and Schur-Horn vectors
-    if not every:
+    # a column with no pivot gets the neutral phase 1
+    pivot = np.where(pivoted, v[rows, cols], 1.0)
+    if np.iscomplexobj(v):
+        v *= np.conj(pivot) / np.where(pivoted, mag[rows, cols], 1.0)
         rows, cols = rows[pivoted], cols[pivoted]
-    pivot = v[rows, cols]
-    if np.iscomplexobj(v):
-        phase = np.conj(pivot) / mag[rows, cols]
-    else:
-        phase = np.where(pivot < 0.0, -1.0, 1.0)
-    if every:
-        v *= phase  # in place, broadcast over the rows: no column copy
-    else:
-        v[:, cols] *= phase
-    if np.iscomplexobj(v):
         v[rows, cols] = mag[rows, cols]
+    else:
+        v *= np.where(pivot < 0.0, -1.0, 1.0)
     return v
 
 

@@ -78,14 +78,17 @@ def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
 def unitary_for_diagonal(spectrum, target, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``."""
     rotations, rows = rotation_chain(spectrum, target, tol)
-    u = np.eye(rows.size).tolist()
-    # givens_left's arithmetic on Python floats: c and s are real, so rows
-    # i, j become [c, s; -s, c] times them, rounded the same way
+    u = np.eye(rows.size)
+    # givens_left's arithmetic in place on row views: c and s are real, so
+    # rows i, j become [c, s; -s, c] times them, rounded the same way
     for i, j, c, s in rotations:
         ri, rj = u[i], u[j]
-        u[i] = [c * a + s * b for a, b in zip(ri, rj)]
-        u[j] = [-s * a + c * b for a, b in zip(ri, rj)]
-    return np.array([u[r] for r in rows.tolist()])
+        t = s * ri
+        ri *= c
+        ri += s * rj
+        rj *= c
+        rj -= t
+    return u[rows]
 
 
 def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray:
