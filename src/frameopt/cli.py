@@ -136,7 +136,7 @@ def _cmd_nu(args) -> int:
             "c": breakdown.c,
             "s_star": breakdown.s_star,
             "s_star_star": breakdown.s_star_star,
-            "nu": [float(x) for x in breakdown.nu.values],
+            "nu": breakdown.nu.values.tolist(),
             "regime": breakdown.regime.value,
         }
     )
@@ -152,11 +152,11 @@ def _cmd_feasible(args) -> int:
     _print(
         {
             "feasible": the_plan.feasible,
-            "nu": [float(x) for x in the_plan.nu.values],
+            "nu": the_plan.nu.values.tolist(),
             "unique_B": the_plan.unique_B,
             "r_hat": the_plan.r_hat,
             "c_hat": the_plan.c_hat,
-            "mu_hat": [float(x) for x in the_plan.mu_hat],
+            "mu_hat": the_plan.mu_hat.tolist(),
             "lower_bounds": lower_bounds(the_plan.nu),
         }
     )

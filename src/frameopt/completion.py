@@ -180,7 +180,7 @@ def completion_to_json(result: CompletionResult) -> dict:
         f1 = frame_to_json(Frame(result.added))
     return {
         "feasible": result.feasible,
-        "nu": [float(x) for x in result.nu.values],
+        "nu": result.nu.values.tolist(),
         "unique_B": result.unique_B,
         "F1": f1,
         "lower_bounds": {

@@ -6,6 +6,8 @@ canonicalization step: a stable descending sort (eigenpairs) and a fixed
 phase for every column.  Identical inputs therefore produce identical
 outputs on one machine; across BLAS/LAPACK builds the results agree to
 rounding, not bitwise.  Real symmetric input yields real output arrays.
+Input equal to its adjoint bit for bit is used as is; any other is
+tested and replaced by its overflow-safe Hermitian part (A + A*)/2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ def _check_square(a) -> np.ndarray:
         raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NotHermitian("matrix entries must be finite")
-    return arr
+    return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 with each term halved first, so that it cannot overflow.
+
+    Bitwise equal to ``(a + a.conj().T) / 2`` unless a half is subnormal.
+    """
+    return a / 2.0 + a.conj().T / 2.0
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -55,33 +65,33 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
 
 
 def _norm(a) -> float:
-    """Frobenius norm taken on a / max|a|, so that no square overflows."""
-    top = float(np.abs(a).max(initial=0.0))
-    return top * float(np.linalg.norm(a / top)) if top > 0.0 else 0.0
+    """Frobenius norm taken on |a| / max|a|: no square, nor a complex divide, overflows."""
+    mag = np.abs(a)
+    top = float(mag.max(initial=0.0))
+    return top * float(np.linalg.norm(mag / top)) if top > 0.0 else 0.0
 
 
-def eig_hermitian(a, _symmetrized: bool = False):
+def eig_hermitian(a):
     """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns ``(w, v)`` with eigenvalues ``w`` in nonincreasing order and the
     columns of ``v`` the matching orthonormal eigenvectors.  The solver runs
-    once on the symmetrized matrix (A + A*)/2; its ascending output is
-    reversed by a stable sort, so exactly tied eigenvalues keep LAPACK's
-    order, and each eigenvector's first significant entry is made real
-    positive.  Output is deterministic for a given input on one machine.
-    Real input yields real output.
+    once: on ``a`` itself when it equals its adjoint exactly, otherwise on
+    its Hermitian part (A + A*)/2.  Its ascending output is reversed by a
+    stable sort, so exactly tied eigenvalues keep LAPACK's order, and each
+    eigenvector's first significant entry is made real positive.  Output is
+    deterministic for a given input on one machine.  Real input yields real
+    output.
 
     Raises NotHermitian when ``a`` differs from its adjoint beyond
     1e-10 * ||a||_F.
     """
     arr = _check_square(a)
-    # _symmetrized: a float or complex ``a`` that already is (A + A*)/2, so
-    # exactly Hermitian (``Frame.operator``); the test and second pass are skipped
-    if not _symmetrized:
+    # exactly Hermitian input would pass the test, and (A + A*)/2 == A bit for bit
+    if not np.array_equal(arr, arr.conj().T):
         if _norm(arr - arr.conj().T) > PSD_TOL * _norm(arr):
             raise NotHermitian("matrix is not equal to its adjoint")
-        dtype = complex if np.iscomplexobj(arr) else float
-        arr = (arr + arr.conj().T).astype(dtype) / 2.0
+        arr = _hermitian_part(arr)
     w, v = np.linalg.eigh(arr)
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_phases(v[:, order])
@@ -92,20 +102,18 @@ class HermitianPSD:
 
     ``eigenvalues`` is a descending SpectrumVec and the columns of
     ``eigenvectors`` pair with it.  Real input matrices keep real storage.
-    ``matrix`` is the input, or for an object built from an eigensystem
-    V diag(w) V*, assembled on first access.
+    ``matrix`` is a read-only copy of the input, always taken, or for an
+    object built from an eigensystem the Hermitian part of V diag(w) V*,
+    assembled on first access.
     """
 
     __slots__ = ("_matrix", "eigenvalues", "eigenvectors")
 
-    def __init__(self, matrix, _symmetrized: bool = False):
-        # _symmetrized as in eig_hermitian; such a matrix is a fresh array, kept uncopied
-        w, v = eig_hermitian(matrix, _symmetrized)
-        if not _symmetrized:
-            matrix = np.array(matrix, copy=True)
+    def __init__(self, matrix):
+        w, v = eig_hermitian(matrix)
         if w.size and w[-1] < -PSD_TOL * _norm(w):
             raise NotPositiveSemidefinite(f"minimum eigenvalue {w[-1]:.3e} below tolerance")
-        self._set(w, v, matrix)
+        self._set(w, v, np.array(matrix, copy=True))
 
     @classmethod
     def _trusted(cls, w, v) -> "HermitianPSD":
@@ -143,8 +151,7 @@ class HermitianPSD:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             v = self.eigenvectors
-            mat = (v * self.eigenvalues.values) @ v.conj().T
-            self._matrix = (mat + mat.conj().T) / 2.0
+            self._matrix = _hermitian_part((v * self.eigenvalues.values) @ v.conj().T)
             self._matrix.flags.writeable = False
         return self._matrix
 
@@ -167,13 +174,6 @@ def psd_rank(values) -> int:
     return int(np.count_nonzero(w > PSD_TOL * float(w[0])))
 
 
-def _rotate_rows(u: np.ndarray, i: int, j: int, c, s) -> None:
-    """Rows i, j of ``u`` <- [[c, s], [-conj(s), conj(c)]] times them, in place."""
-    ri = u[i, :].copy()
-    u[i, :] = c * ri + s * u[j, :]
-    u[j, :] = -np.conj(s) * ri + np.conj(c) * u[j, :]
-
-
 def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
     """Apply a plane rotation to rows i and j of ``m`` (returns a new array).
 
@@ -190,7 +190,9 @@ def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
         raise ValueError("rotation parameters must satisfy |c|^2 + |s|^2 = 1")
     dtype = np.result_type(arr.dtype, type(c), type(s))
     out = arr.astype(dtype, copy=True)
-    _rotate_rows(out, i, j, c, s)
+    ri = out[i, :].copy()
+    out[i, :] = c * ri + s * out[j, :]
+    out[j, :] = -np.conj(s) * ri + np.conj(c) * out[j, :]
     return out
 
 

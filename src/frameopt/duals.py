@@ -128,7 +128,7 @@ def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
 def dual_to_json(result: DualResult) -> dict:
     """Serialized form {"nu", "unique_S", "W", "trace"}."""
     return {
-        "nu": [float(x) for x in result.nu.values],
+        "nu": result.nu.values.tolist(),
         "unique_S": result.unique_S,
         "W": frame_to_json(result.dual),
         "trace": result.operator.trace(),

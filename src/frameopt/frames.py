@@ -54,8 +54,7 @@ class Frame:
 
     def operator(self) -> HermitianPSD:
         if self._operator is None:
-            s = self._synthesis @ self._synthesis.conj().T
-            self._operator = HermitianPSD((s + s.conj().T) / 2.0, _symmetrized=True)
+            self._operator = HermitianPSD(self._synthesis @ self._synthesis.conj().T)
         return self._operator
 
     @property
@@ -120,10 +119,7 @@ def potential(frame: Frame, kind: PotentialKind) -> float:
 def frame_to_json(frame: Frame) -> dict:
     """JSON object {"d", "n", "vectors"} with entries as [re, im] pairs."""
     arr = frame.synthesis
-    vectors = []
-    for i in range(frame.n):
-        col = arr[:, i]
-        vectors.append([[float(z.real), float(z.imag)] for z in col])
+    vectors = np.stack((arr.real, arr.imag), axis=-1).transpose(1, 0, 2).tolist()
     return {"d": frame.d, "n": frame.n, "vectors": vectors}
 
 

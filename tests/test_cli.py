@@ -56,6 +56,25 @@ class TestNu:
         assert code == 0
         assert json.loads(out)["r"] == 2
 
+    def test_spectrum_from_json_list_file(self, capsys, tmp_path):
+        lam_file = tmp_path / "lam.json"
+        lam_file.write_text("[9, 5, 4, 2, 1]\n")
+        tail = ("--m", "3", "--t", "26.5")
+        got = run(capsys, "nu", "--lambda", str(lam_file), *tail)
+        assert got == run(capsys, "nu", "--lambda", "9,5,4,2,1", *tail)
+        assert got[0] == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('[9, "a"]', "spectrum file must hold a list of numbers"), ("[9, 5", "bad JSON list")],
+    )
+    def test_bad_json_list_file_exit(self, capsys, tmp_path, text, message):
+        lam_file = tmp_path / "lam.json"
+        lam_file.write_text(text)
+        code, out, err = run(capsys, "nu", "--lambda", str(lam_file), "--m", "3", "--t", "26.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("frameopt: " + message)
+
     def test_bad_trace_exit(self, capsys):
         code, _, err = run(capsys, "nu", "--lambda", "9,5,4,2,1", "--m", "3", "--t", "5")
         assert code == 3

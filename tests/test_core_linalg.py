@@ -175,16 +175,32 @@ class TestHermitianPSD:
             assert np.linalg.norm(trusted.matrix - op.matrix) <= 1e-12 * scale
             assert not trusted.matrix.flags.writeable
 
-    def test_symmetrized_path_matches_the_checked_one(self, rng):
-        # (A + A*)/2 is exactly Hermitian, so skipping the adjoint test and
-        # the second symmetrization changes no bit of the factorization
-        for cplx in (False, True):
-            a = random_psd(rng, 6, cplx=cplx)
-            s = (a + a.conj().T) / 2.0
-            ref, op = HermitianPSD(s), HermitianPSD(s.copy(), _symmetrized=True)
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_frame_operator_matches_the_symmetrized_gram_matrix(self, rng, cplx):
+        # T T* may or may not be Hermitian bit for bit, depending on the BLAS;
+        # either way its eigenpairs are those of (S + S*)/2
+        for d in (2, 5, 16):
+            z = rng.standard_normal((d, d + 2))
+            if cplx:
+                z = z + 1j * rng.standard_normal(z.shape)
+            s = z @ z.conj().T
+            ref, op = HermitianPSD((s + s.conj().T) / 2.0), Frame(z).operator()
             assert np.array_equal(op.eigenvalues.values, ref.eigenvalues.values)
             assert np.array_equal(op.eigenvectors, ref.eigenvectors)
-            assert np.array_equal(op.matrix, s) and not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_nearly_hermitian_input_is_factored_on_its_hermitian_part(self, rng, cplx):
+        a = random_psd(rng, 6, cplx=cplx)
+        skew = rng.standard_normal(a.shape)
+        a = a + 1e-14 * np.linalg.norm(a) / np.linalg.norm(skew) * skew
+        assert not np.array_equal(a, a.conj().T)
+        w, v = eig_hermitian(a)
+        w_ref, v_ref = eig_hermitian((a + a.conj().T) / 2.0)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        op = HermitianPSD(a)
+        assert np.array_equal(op.eigenvalues.values, np.maximum(w, 0.0))
+        assert np.array_equal(op.matrix, a) and not op.matrix.flags.writeable
+        assert not np.shares_memory(op.matrix, a)
 
     def test_from_eigensystem_sorts(self):
         op = HermitianPSD.from_eigensystem([1.0, 3.0], np.eye(2))

@@ -137,6 +137,19 @@ class TestJson:
         back = frame_from_json(frame_to_json(frame))
         assert np.allclose(back.synthesis, frame.synthesis)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_emission_matches_the_per_entry_loop(self, rng, cplx):
+        # reference: one [float(re), float(im)] pair per entry, column by column
+        for _ in range(20):
+            z = rng.standard_normal((3, 4)) * 10.0 ** rng.uniform(-300, 300, (3, 4))
+            if cplx:
+                z = z + 1j * rng.standard_normal(z.shape)
+            z[rng.random(z.shape) < 0.3] = complex(-0.0, -0.0) if cplx else -0.0
+            frame = Frame(z)
+            arr = frame.synthesis
+            want = [[[float(x.real), float(x.imag)] for x in arr[:, j]] for j in range(frame.n)]
+            assert repr(frame_to_json(frame)["vectors"]) == repr(want)
+
     def test_bare_number_shorthand(self):
         obj = {"d": 2, "n": 2, "vectors": [[1, 0], [[0, 0], [2, 0]]]}
         frame = frame_from_json(obj)
