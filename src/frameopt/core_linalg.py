@@ -1,13 +1,14 @@
 """Dense complex-Hermitian kernels: eigensystems, null spaces, rotations.
 
-Eigensystems come from one LAPACK ``eigh`` call and kernels from the
-trailing columns of one complete QR of the adjoint, each followed by a
-canonicalization step: a stable descending sort (eigenpairs) and a fixed
-phase for every column.  Identical inputs therefore produce identical
-outputs on one machine; across BLAS/LAPACK builds the results agree to
-rounding, not bitwise.  Real symmetric input yields real output arrays.
-Input equal to its adjoint bit for bit is used as is; any other is
-tested and replaced by its overflow-safe Hermitian part (A + A*)/2.
+Eigensystems (T T* on the completion side) come from one LAPACK ``eigh``
+call and kernels from the trailing right singular vectors of one full SVD
+(the dual side reads ``Frame``'s), each followed by a canonicalization step:
+a stable descending sort (eigenpairs) and a fixed phase for every column.
+Identical inputs therefore produce identical outputs on one machine; across
+BLAS/LAPACK builds the results agree to rounding, not bitwise.  Real
+symmetric input yields real output arrays.  Input equal to its adjoint bit
+for bit is used as is; any other is tested and replaced by its
+overflow-safe Hermitian part (A + A*)/2.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ def eig_hermitian(a):
     output.
 
     Raises NotHermitian when ``a`` differs from its adjoint beyond
-    1e-10 * ||a||_F.
+    1e-10 * ||a||_F, compared as halves (A - A*)/2 that cannot overflow.
     """
     arr = _check_square(a)
     # exactly Hermitian input would pass the test, and (A + A*)/2 == A bit for bit
     if not np.array_equal(arr, arr.conj().T):
-        if _norm(arr - arr.conj().T) > PSD_TOL * _norm(arr):
+        if _norm(arr / 2.0 - arr.conj().T / 2.0) > PSD_TOL * _norm(arr / 2.0):
             raise NotHermitian("matrix is not equal to its adjoint")
         arr = _hermitian_part(arr)
     w, v = np.linalg.eigh(arr)
@@ -200,21 +201,17 @@ def null_space_onb(m) -> np.ndarray:
     """Orthonormal basis of the kernel of a full-row-rank d x n matrix.
 
     Returns an n x (n - d) matrix whose columns u satisfy m @ u = 0: the
-    trailing n - d columns of Q in one complete QR m* = Q R, each with its
-    first significant entry made real positive.  Deterministic for a given
-    input on one machine.
+    trailing n - d right singular vectors of one full SVD m = U S V*, each
+    with its first significant entry made real positive.  Deterministic for
+    a given input on one machine.
 
-    Raises RankDeficient when the d-th singular value, from
-    ``svd(compute_uv=False)``, is at most 1e-8 times the largest.
+    Raises RankDeficient unless its d-th singular value exceeds 1e-8 times the largest.
     """
     arr = np.asarray(m)
     if arr.ndim != 2:
         raise RankDeficient("expected a matrix")
     d, n = arr.shape
-    if d > n:
-        raise RankDeficient(f"a {d} x {n} matrix cannot have row rank {d}")
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    if d == 0 or sigma[d - 1] <= GATE_TOL * sigma[0]:
+    _, sigma, vh = np.linalg.svd(arr)  # min(d, n) singular values
+    if d == 0 or d > n or sigma[d - 1] <= GATE_TOL * sigma[0]:
         raise RankDeficient("matrix does not have full row rank")
-    q = np.linalg.qr(arr.conj().T, mode="complete")[0]
-    return _fix_phases(q[:, d:])
+    return _fix_phases(vh[d:].conj().T)

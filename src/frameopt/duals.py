@@ -5,9 +5,9 @@ B positive semidefinite of rank at most n - d.  Among duals whose operator
 trace is at least t, the submajorization-minimal operator spectrum is the
 waterfilling spectrum of the inverse-operator eigenvalues with rank bound
 m = 2d - n, and a dual attaining it is built from the canonical dual by
-adding mass supported on ker(synthesis) paired with the trailing
-eigenvectors of S_F^{-1}.  ``nu`` owns the trace rule (BadTrace below
-tr(S_F^{-1})) and cuts the increment that becomes the dual's mass.
+adding mass on ker(T) paired with the trailing eigenvectors of S_F^{-1},
+all read off one SVD of T, so errors grow like cond(S_F)^(1/2), not
+cond(S_F).  ``nu`` owns the trace rule (BadTrace below tr(S_F^{-1})).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import HermitianPSD, null_space_onb
-from .errors import InsufficientCorank, NotSpanning
-from .frames import Frame, frame_operator, frame_to_json, inverse_operator
+from .core_linalg import HermitianPSD
+from .errors import InsufficientCorank
+from .frames import Frame, _operator_svd, canonical_dual, frame_to_json, inverse_operator
 from .majorization import DEFAULT_TOL, SpectrumVec
 from .spectra import NuBreakdown, minimizer_is_unique, nu
 
@@ -64,8 +64,8 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     The construction adds, on top of the canonical dual's analysis matrix,
     a block Z = sum_i sqrt(mass_i) u_i h_i* that maps the trailing
     eigenvectors h_i of S_F^{-1} onto orthonormal kernel directions u_i of
-    the synthesis, so S_W = S_F^{-1} + Z*Z and duality is untouched.  The
-    masses are the increment of the minimal spectrum, as in completion.
+    the synthesis (right singular vectors of T past the d-th), so S_W =
+    S_F^{-1} + Z*Z and duality is untouched.  The masses are the increment.
 
     ``tol`` is relative, as in ``nu``: t may fall short of tr(S_F^{-1}) by
     that fraction, and BadTrace is raised below that.  The q = d - kept
@@ -77,28 +77,19 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     kept = breakdown.kept
     q = frame.d - kept
     h = sinv.eigenvectors
-    # analysis matrix of the canonical dual S_F^{-1} F
-    dual_analysis = frame.analysis @ sinv.matrix
+    synthesis = canonical_dual(frame).synthesis
     if q > 0:
-        kernel = null_space_onb(frame.synthesis)
-        z = (kernel[:, :q] * np.sqrt(breakdown.increment)) @ h[:, kept:].conj().T
-        dual_analysis = dual_analysis + z
+        kernel_rows = _operator_svd(frame, "duality")[2][frame.d : frame.d + q]  # the u_i*
+        synthesis = synthesis + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel_rows
     operator = HermitianPSD._trusted(
         np.concatenate((lam.values[:kept], np.full(q, breakdown.c))), h
     )
     return DualResult(
-        dual=Frame(dual_analysis.conj().T),
+        dual=Frame(synthesis),
         operator=operator,
         nu=breakdown.nu,
         unique_S=minimizer_is_unique(lam, problem.m, problem.t, tol),
     )
-
-
-def _operator_spectrum(frame: Frame):
-    """Frame-operator eigenvalues of a spanning frame, and m = 2d - n."""
-    if not frame.spanning:
-        raise NotSpanning("duality needs a spanning frame")
-    return frame_operator(frame).eigenvalues.values, 2 * frame.d - frame.n
 
 
 def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
@@ -108,7 +99,7 @@ def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     eigenvalue must have multiplicity at least m = 2d - n, within
     tol times the largest eigenvalue.
     """
-    w, m = _operator_spectrum(frame)
+    w, m = _operator_svd(frame, "duality")[1] ** 2, 2 * frame.d - frame.n
     return m <= 0 or bool(w[-m] - w[-1] <= tol * w[0])
 
 
@@ -119,7 +110,7 @@ def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     frame-operator eigenvalues must all equal 1 exactly.  ``tol`` is
     absolute: the comparison is against the identity, whose scale is 1.
     """
-    w, m = _operator_spectrum(frame)
+    w, m = _operator_svd(frame, "duality")[1] ** 2, 2 * frame.d - frame.n
     if m <= 0:
         return bool(w[-1] >= 1.0 - tol)
     return bool(abs(w[-m] - 1.0) <= tol and abs(w[-1] - 1.0) <= tol)

@@ -1,7 +1,10 @@
 """Finite frame algebra: frame operators, duals, potentials, JSON format.
 
 A frame is an ordered list of n vectors in C^d stored as the columns of a
-d x n synthesis matrix.  Nothing is ever normalized implicitly.
+d x n synthesis matrix.  Nothing is ever normalized implicitly.  The
+spanning gate and the dual side read S_F's spectrum as sigma^2 from one
+cached full SVD T = U diag(sigma) V*; the completion side, ``potential``
+and ``frame_operator`` read Gram plus ``eigh`` (``operator``), cheaper there.
 """
 
 from __future__ import annotations
@@ -9,14 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core_linalg import HermitianPSD
-from .errors import NotSpanning, ShapeMismatch, SingularFrameOperator
+from .errors import DomainError, NotSpanning, ShapeMismatch, SingularFrameOperator
 from .majorization import GATE_TOL, PotentialKind, trace_f
 
 
 class Frame:
     """Ordered vector family in C^d, stored as a d x n synthesis matrix."""
 
-    __slots__ = ("_synthesis", "_operator")
+    __slots__ = ("_synthesis", "_operator", "_svd")
 
     def __init__(self, synthesis):
         arr = np.asarray(synthesis)
@@ -31,7 +34,7 @@ class Frame:
             raise ShapeMismatch("frame entries must be finite")
         mat.flags.writeable = False
         self._synthesis = mat
-        self._operator = None
+        self._operator = self._svd = None
 
     @property
     def d(self) -> int:
@@ -59,9 +62,11 @@ class Frame:
 
     @property
     def spanning(self) -> bool:
-        """Whether the smallest operator eigenvalue clears 1e-8 times the largest."""
-        w = self.operator().eigenvalues.values
-        return bool(w[-1] > GATE_TOL * w[0])
+        """Whether sigma_d^2 > 1e-8 sigma_1^2, tested as a ratio that cannot overflow."""
+        if self._svd is None:
+            self._svd = np.linalg.svd(self._synthesis)
+        s = self._svd[1]
+        return bool(self.n >= self.d and s[0] > 0.0 and (s[-1] / s[0]) ** 2 > GATE_TOL)
 
     def __repr__(self) -> str:
         return f"Frame(d={self.d}, n={self.n})"
@@ -72,28 +77,34 @@ def frame_operator(frame: Frame) -> HermitianPSD:
     return frame.operator()
 
 
+def _operator_svd(frame: Frame, what: str):
+    """(U, sigma, V*) of a spanning frame whose sigma^2 and sigma^-2 are finite floats."""
+    if not frame.spanning:  # which also makes the SVD
+        raise NotSpanning(f"{what} needs a spanning frame")
+    u, s, vh = frame._svd
+    if s[0] > np.sqrt(np.finfo(float).max):
+        raise DomainError(f"frame operator eigenvalue {s[0]:.3e}^2 overflows")
+    if s[-1] ** 2 < np.finfo(float).tiny:
+        raise SingularFrameOperator(f"frame operator eigenvalue {s[-1] ** 2:.3e} is subnormal")
+    return u, s, vh
+
+
 def frame_bounds(frame: Frame):
-    """Optimal constants (A, B) = (smallest, largest) operator eigenvalues."""
-    if not frame.spanning:
-        raise NotSpanning("frame bounds need a spanning frame")
-    w = frame.operator().eigenvalues.values
-    return float(w[-1]), float(w[0])
+    """Optimal constants (A, B) = (sigma_d^2, sigma_1^2), the extreme operator eigenvalues."""
+    s = _operator_svd(frame, "frame bounds")[1]
+    return float(s[-1] ** 2), float(s[0] ** 2)
 
 
 def inverse_operator(frame: Frame) -> HermitianPSD:
-    """S_F^{-1} on the frame operator's eigenbasis; SingularFrameOperator if S is subnormal."""
-    if not frame.spanning:
-        raise NotSpanning("inverse frame operator needs a spanning frame")
-    op = frame.operator()
-    w = op.eigenvalues.values
-    if w[-1] < np.finfo(float).tiny:
-        raise SingularFrameOperator(f"frame operator eigenvalue {w[-1]:.3e} is subnormal")
-    return HermitianPSD._trusted(1.0 / w, op.eigenvectors)
+    """S_F^{-1} = U diag(sigma^-2) U*; SingularFrameOperator if S is subnormal."""
+    u, s, _ = _operator_svd(frame, "inverse frame operator")
+    return HermitianPSD._trusted(1.0 / s**2, u)
 
 
 def canonical_dual(frame: Frame) -> Frame:
-    """Frame whose vectors are S^{-1} f_i."""
-    return Frame(inverse_operator(frame).matrix @ frame.synthesis)
+    """Frame whose vectors are S^{-1} f_i, with synthesis U diag(1/sigma) V_1*."""
+    u, s, vh = _operator_svd(frame, "canonical dual")
+    return Frame((u / s) @ vh[: frame.d])
 
 
 def duality_residual(frame: Frame, other: Frame) -> float:
@@ -111,9 +122,10 @@ def is_dual(frame: Frame, other: Frame, tol: float = GATE_TOL) -> bool:
 
 def potential(frame: Frame, kind: PotentialKind) -> float:
     """Convex potential tr f(S) evaluated on the frame-operator spectrum."""
-    if kind is PotentialKind.MEAN_SQUARE_ERROR and not frame.spanning:
+    w = frame.operator().eigenvalues  # sigma_d^2 may clear the gate but underflow to 0 here
+    if kind is PotentialKind.MEAN_SQUARE_ERROR and not (frame.spanning and w.values[-1] > 0.0):
         raise SingularFrameOperator("mean square error needs an invertible frame operator")
-    return trace_f(frame.operator().eigenvalues, kind)
+    return trace_f(w, kind)
 
 
 def frame_to_json(frame: Frame) -> dict:

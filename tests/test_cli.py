@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +192,28 @@ class TestDual:
         assert not out and "basis" in err
 
 
+class TestProcess:
+    """``python -m frameopt.cli``: the module guard, ``entry`` and its exit code."""
+
+    @staticmethod
+    def spawn(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "frameopt.cli", *argv], capture_output=True, check=False
+        )
+
+    def test_stdout_matches_main(self, capsys, dual_path):
+        argv = ("dual", "--frame", dual_path, "--t", "16.5")
+        proc = self.spawn(*argv)
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
+
+    def test_typed_failure_exit_code(self, dual_path):
+        proc = self.spawn("dual", "--frame", dual_path, "--t", "2.0")  # below tr(S^-1)
+        assert proc.returncode == 3
+        assert not proc.stdout and proc.stderr.startswith(b"frameopt: ")
+
+
 class TestCheckDual:
     def test_onb_pair(self, capsys, tmp_path):
         path = tmp_path / "onb.json"
@@ -200,7 +224,7 @@ class TestCheckDual:
         assert obj["is_dual"] is True and obj["residual"] <= 1e-15
 
     def test_default_verdict_matches_library(self, capsys, tmp_path):
-        # a residual of ~5e-9, as the library's own duals reach near the spanning gate
+        # a residual of 5e-9, inside the default bound GATE_TOL = 1e-8
         frame, near = fo.Frame(np.eye(2)), fo.Frame(np.diag([1.0 + 5e-9, 1.0]))
         for name, f in (("f.json", frame), ("w.json", near)):
             (tmp_path / name).write_text(json.dumps(fo.frame_to_json(f)))

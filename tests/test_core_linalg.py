@@ -31,8 +31,10 @@ class TestEigHermitian:
         assert np.allclose(w, [9.0, 5.0, 4.0, 2.0, 1.0], atol=5e-3)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # A - A* would overflow on the second: it must not warn, but raise
+        for a in ([[1.0, 2.0], [0.0, 1.0]], [[0.0, 1e308], [-1e308, 0.0]]):
+            with pytest.raises(NotHermitian):
+                eig_hermitian(np.array(a))
 
     def test_real_path_stays_real(self):
         a = random_hermitian(np.random.default_rng(3), 6)

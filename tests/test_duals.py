@@ -147,16 +147,29 @@ def _random_dual(rng, frame, t=None, slack=1.0):
 
 
 @pytest.mark.parametrize("cplx", [False, True])
-def test_one_eigensolve_and_no_full_svd_per_dual(monkeypatch, cplx):
+def test_one_full_svd_and_no_eigh_or_qr_per_dual(monkeypatch, cplx):
     synthesis = DUAL_SYNTHESIS * (1.0 + 1j) if cplx else DUAL_SYNTHESIS
     t = 2.0 * inverse_operator(Frame(synthesis)).trace()
     assert optimal_dual_spectrum(DualProblem(Frame(synthesis), t)).kept < 5  # kernel used
-    eigh = count_calls(monkeypatch, np.linalg, "eigh")
-    svd = count_calls(monkeypatch, np.linalg, "svd")
+    calls = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "svd", "qr")}
     res = optimal_dual(DualProblem(Frame(synthesis), t))
+    assert not calls["eigh"] and not calls["qr"]
+    assert len(calls["svd"]) == 1
+    assert calls["svd"][0].get("full_matrices", True) and calls["svd"][0].get("compute_uv", True)
     assert fo.is_dual(Frame(synthesis), res.dual)
-    assert len(eigh) == 1
-    assert svd and all(kwargs.get("compute_uv") is False for kwargs in svd)
+
+
+@pytest.mark.parametrize("d, n", [(3, 5), (8, 13), (20, 30)])
+def test_duals_near_the_spanning_gate_pass_is_dual(rng, d, n):
+    # S = T T* with spectrum geometric down to 1 / 9e7, just inside the gate:
+    # forming T T* would cost a factor cond(S), and a residual near 3e-8
+    w = np.geomspace(1.0, 1.0 / 9e7, d)
+    for i in range(100):
+        frame = frame_with_spectrum(rng, w, n, cplx=bool(i % 2))
+        assert frame.spanning
+        t = 1.5 * inverse_operator(frame).trace()
+        assert fo.is_dual(frame, canonical_dual(frame))
+        assert fo.is_dual(frame, optimal_dual(DualProblem(frame, t)).dual)
 
 
 def test_canonical_dual_operator_is_minimal(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import frameopt as fo
 from frameopt import (
     Frame,
     PotentialKind,
@@ -12,7 +13,7 @@ from frameopt import (
     is_dual,
     potential,
 )
-from frameopt.errors import NotSpanning, ShapeMismatch, SingularFrameOperator
+from frameopt.errors import DomainError, NotSpanning, ShapeMismatch, SingularFrameOperator
 
 
 def _random_spanning(rng, d, n, cplx=False):
@@ -60,6 +61,19 @@ class TestFrameBounds:
     def test_not_spanning(self):
         with pytest.raises(NotSpanning):
             frame_bounds(Frame(np.array([[1.0], [0.0]])))
+
+    def test_spectrum_outside_the_float_range_is_a_typed_error(self):
+        # sigma^2 overflows at 1e200 and is subnormal at 1e-160; the frame spans
+        # at both, and every reader of its SVD raises instead of warning
+        readers = (frame_bounds, fo.inverse_operator, canonical_dual, fo.tight_dual_exists,
+                   fo.parseval_dual_exists, lambda f: fo.optimal_dual(fo.DualProblem(f, 1.0)))
+        a = np.random.default_rng(5).standard_normal((3, 5))
+        for scale, error in ((1e200, DomainError), (1e-160, SingularFrameOperator)):
+            frame = Frame(scale * a)
+            assert frame.spanning
+            for reader in readers:
+                with pytest.raises(error):
+                    reader(frame)
 
 
 class TestCanonicalDual:
