@@ -1,14 +1,15 @@
 """Dense complex-Hermitian kernels: eigensystems, null spaces, rotations.
 
-Eigensystems (T T* on the completion side) come from one LAPACK ``eigh``
-call and kernels from the trailing right singular vectors of one full SVD
-(the dual side reads ``Frame``'s), each followed by a canonicalization step:
-a stable descending sort (eigenpairs) and a fixed phase for every column.
-Identical inputs therefore produce identical outputs on one machine; across
-BLAS/LAPACK builds the results agree to rounding, not bitwise.  Real
-symmetric input yields real output arrays.  Input equal to its adjoint bit
-for bit is used as is; any other is tested and replaced by its
-overflow-safe Hermitian part (A + A*)/2.
+Eigensystems come from one LAPACK ``eigh`` call (the completion side's
+S_F = T T*) and kernels from the trailing right singular vectors of one
+full SVD, each followed by a canonicalization step: a stable descending
+sort (eigenpairs) and a fixed phase for every column, which the dual side
+also applies to the factors of the frame's own SVD.  Identical inputs
+therefore produce identical outputs on one machine; across BLAS/LAPACK
+builds the results agree to rounding, not bitwise.  Real symmetric input
+yields real output arrays.  Input equal to its adjoint bit for bit is used
+as is; any other is tested and replaced by its overflow-safe Hermitian
+part (A + A*)/2.
 """
 
 from __future__ import annotations

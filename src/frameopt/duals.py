@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import HermitianPSD
+from .core_linalg import HermitianPSD, _fix_phases
 from .errors import InsufficientCorank
-from .frames import Frame, _operator_svd, canonical_dual, frame_to_json, inverse_operator
+from .frames import Frame, _operator_svd, _svd, frame_to_json, inverse_operator
 from .majorization import DEFAULT_TOL, SpectrumVec
 from .spectra import NuBreakdown, minimizer_is_unique, nu
 
@@ -71,16 +71,15 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     that fraction, and BadTrace is raised below that.  The q = d - kept
     masses always fit the n - d kernel directions, since kept >= m = 2d - n.
     """
-    frame = problem.frame
+    d = problem.frame.d
     sinv, breakdown = _solve_spectrum(problem, tol)
-    lam = sinv.eigenvalues
-    kept = breakdown.kept
-    q = frame.d - kept
-    h = sinv.eigenvectors
-    synthesis = canonical_dual(frame).synthesis
+    u, s, vh = _svd(problem.frame)  # which inverse_operator has gated
+    lam, h, kept = sinv.eigenvalues, sinv.eigenvectors, breakdown.kept
+    q = d - kept
+    synthesis = (u / s) @ vh[:d]  # the canonical dual
     if q > 0:
-        kernel_rows = _operator_svd(frame, "duality")[2][frame.d : frame.d + q]  # the u_i*
-        synthesis = synthesis + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel_rows
+        kernel = _fix_phases(vh[d : d + q].conj().T.copy())  # the u_i
+        synthesis = synthesis + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel.conj().T
     operator = HermitianPSD._trusted(
         np.concatenate((lam.values[:kept], np.full(q, breakdown.c))), h
     )
@@ -92,6 +91,11 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     )
 
 
+def _singular_values(frame: Frame):
+    """Singular values sigma of a spanning frame (S_F's eigenvalues are sigma^2), and m = 2d - n."""
+    return _operator_svd(frame, "duality")[1], 2 * frame.d - frame.n
+
+
 def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """Whether some dual of the frame is tight.
 
@@ -99,8 +103,8 @@ def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     eigenvalue must have multiplicity at least m = 2d - n, within
     tol times the largest eigenvalue.
     """
-    w, m = _operator_svd(frame, "duality")[1] ** 2, 2 * frame.d - frame.n
-    return m <= 0 or bool(w[-m] - w[-1] <= tol * w[0])
+    s, m = _singular_values(frame)
+    return m <= 0 or bool((s[-m] / s[0]) ** 2 - (s[-1] / s[0]) ** 2 <= tol)
 
 
 def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
@@ -110,7 +114,8 @@ def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     frame-operator eigenvalues must all equal 1 exactly.  ``tol`` is
     absolute: the comparison is against the identity, whose scale is 1.
     """
-    w, m = _operator_svd(frame, "duality")[1] ** 2, 2 * frame.d - frame.n
+    s, m = _singular_values(frame)
+    w = s**2
     if m <= 0:
         return bool(w[-1] >= 1.0 - tol)
     return bool(abs(w[-m] - 1.0) <= tol and abs(w[-1] - 1.0) <= tol)

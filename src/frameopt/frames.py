@@ -2,16 +2,16 @@
 
 A frame is an ordered list of n vectors in C^d stored as the columns of a
 d x n synthesis matrix.  Nothing is ever normalized implicitly.  The
-spanning gate and the dual side read S_F's spectrum as sigma^2 from one
-cached full SVD T = U diag(sigma) V*; the completion side, ``potential``
-and ``frame_operator`` read Gram plus ``eigh`` (``operator``), cheaper there.
+spanning gate, ``potential`` and the dual side read S_F's spectrum as
+sigma^2 from one cached SVD T = U diag(sigma) V*; the completion side and
+``frame_operator`` read Gram plus ``eigh`` (``operator``), cheaper there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core_linalg import HermitianPSD
+from .core_linalg import HermitianPSD, _fix_phases
 from .errors import DomainError, NotSpanning, ShapeMismatch, SingularFrameOperator
 from .majorization import GATE_TOL, PotentialKind, trace_f
 
@@ -62,14 +62,28 @@ class Frame:
 
     @property
     def spanning(self) -> bool:
-        """Whether sigma_d^2 > 1e-8 sigma_1^2, tested as a ratio that cannot overflow."""
-        if self._svd is None:
-            self._svd = np.linalg.svd(self._synthesis)
-        s = self._svd[1]
+        """Whether n >= d and sigma_d^2 > 1e-8 sigma_1^2, as a ratio that cannot overflow."""
+        s = _svd(self)[1]
         return bool(self.n >= self.d and s[0] > 0.0 and (s[-1] / s[0]) ** 2 > GATE_TOL)
 
     def __repr__(self) -> str:
         return f"Frame(d={self.d}, n={self.n})"
+
+
+def _svd(frame: Frame):
+    """The frame's SVD T = U diag(sigma) V*, made once, read-only, with min(d, n) sigma.
+
+    Past its d-th row V* holds min(d, n - d) kernel rows, as many as a dual uses: the
+    full SVD up to n = 2d, beyond that one of T over d zero rows, so V* stays 2d x n.
+    """
+    if frame._svd is None:
+        d, n = frame.d, frame.n
+        stacked = np.vstack((frame.synthesis, np.zeros((d if n > 2 * d else 0, n))))
+        u, s, vh = np.linalg.svd(stacked, full_matrices=n <= 2 * d)
+        frame._svd = u[:d, :d], s[:d], vh
+        for arr in frame._svd:
+            arr.flags.writeable = False
+    return frame._svd
 
 
 def frame_operator(frame: Frame) -> HermitianPSD:
@@ -78,12 +92,18 @@ def frame_operator(frame: Frame) -> HermitianPSD:
 
 
 def _operator_svd(frame: Frame, what: str):
-    """(U, sigma, V*) of a spanning frame whose sigma^2 and sigma^-2 are finite floats."""
-    if not frame.spanning:  # which also makes the SVD
+    """(U, sigma, V*) of a spanning frame whose sigma^2 is a finite float."""
+    if not frame.spanning:
         raise NotSpanning(f"{what} needs a spanning frame")
-    u, s, vh = frame._svd
+    u, s, vh = _svd(frame)
     if s[0] > np.sqrt(np.finfo(float).max):
         raise DomainError(f"frame operator eigenvalue {s[0]:.3e}^2 overflows")
+    return u, s, vh
+
+
+def _inverse_svd(frame: Frame, what: str):
+    """``_operator_svd``, and SingularFrameOperator unless sigma^-2 is finite too."""
+    u, s, vh = _operator_svd(frame, what)
     if s[-1] ** 2 < np.finfo(float).tiny:
         raise SingularFrameOperator(f"frame operator eigenvalue {s[-1] ** 2:.3e} is subnormal")
     return u, s, vh
@@ -96,14 +116,14 @@ def frame_bounds(frame: Frame):
 
 
 def inverse_operator(frame: Frame) -> HermitianPSD:
-    """S_F^{-1} = U diag(sigma^-2) U*; SingularFrameOperator if S is subnormal."""
-    u, s, _ = _operator_svd(frame, "inverse frame operator")
-    return HermitianPSD._trusted(1.0 / s**2, u)
+    """S_F^{-1} = U diag(sigma^-2) U*, U phase-fixed; SingularFrameOperator if S is subnormal."""
+    u, s, _ = _inverse_svd(frame, "inverse frame operator")
+    return HermitianPSD._trusted(1.0 / s**2, _fix_phases(u.copy()))
 
 
 def canonical_dual(frame: Frame) -> Frame:
     """Frame whose vectors are S^{-1} f_i, with synthesis U diag(1/sigma) V_1*."""
-    u, s, vh = _operator_svd(frame, "canonical dual")
+    u, s, vh = _inverse_svd(frame, "canonical dual")
     return Frame((u / s) @ vh[: frame.d])
 
 
@@ -121,11 +141,11 @@ def is_dual(frame: Frame, other: Frame, tol: float = GATE_TOL) -> bool:
 
 
 def potential(frame: Frame, kind: PotentialKind) -> float:
-    """Convex potential tr f(S) evaluated on the frame-operator spectrum."""
-    w = frame.operator().eigenvalues  # sigma_d^2 may clear the gate but underflow to 0 here
-    if kind is PotentialKind.MEAN_SQUARE_ERROR and not (frame.spanning and w.values[-1] > 0.0):
+    """Convex potential tr f(S) on the spectrum sigma^2 of S (its d - n zeros, if n < d, add 0)."""
+    if kind is PotentialKind.MEAN_SQUARE_ERROR and not frame.spanning:
         raise SingularFrameOperator("mean square error needs an invertible frame operator")
-    return trace_f(w, kind)
+    with np.errstate(over="ignore"):  # sigma^2 past the float range is inf, as its potential
+        return trace_f(_svd(frame)[1] ** 2, kind)
 
 
 def frame_to_json(frame: Frame) -> dict:

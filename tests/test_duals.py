@@ -147,19 +147,28 @@ def _random_dual(rng, frame, t=None, slack=1.0):
 
 
 @pytest.mark.parametrize("cplx", [False, True])
-def test_one_full_svd_and_no_eigh_or_qr_per_dual(monkeypatch, cplx):
+def test_one_svd_and_no_eigh_or_qr_per_dual(monkeypatch, cplx):
     synthesis = DUAL_SYNTHESIS * (1.0 + 1j) if cplx else DUAL_SYNTHESIS
     t = 2.0 * inverse_operator(Frame(synthesis)).trace()
     assert optimal_dual_spectrum(DualProblem(Frame(synthesis), t)).kept < 5  # kernel used
     calls = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "svd", "qr")}
     res = optimal_dual(DualProblem(Frame(synthesis), t))
     assert not calls["eigh"] and not calls["qr"]
-    assert len(calls["svd"]) == 1
-    assert calls["svd"][0].get("full_matrices", True) and calls["svd"][0].get("compute_uv", True)
+    assert len(calls["svd"]) == 1 and calls["svd"][0].get("compute_uv", True)
     assert fo.is_dual(Frame(synthesis), res.dual)
 
 
-@pytest.mark.parametrize("d, n", [(3, 5), (8, 13), (20, 30)])
+def test_long_frame_dual(monkeypatch, rng):
+    # n >> d: the kernel directions come from the frame's one SVD, with no n x n factor
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    frame = Frame((rng.standard_normal((3, 20000)) + 1j * rng.standard_normal((3, 20000))) / 200)
+    res = optimal_dual(DualProblem(frame, 2.0 * inverse_operator(frame).trace()))
+    assert len(svd) == 1
+    assert fo.is_dual(frame, res.dual)
+    assert res.nu.values == pytest.approx(res.dual.operator().eigenvalues.values, rel=1e-10)
+
+
+@pytest.mark.parametrize("d, n", [(3, 5), (8, 13), (20, 30), (8, 20)])
 def test_duals_near_the_spanning_gate_pass_is_dual(rng, d, n):
     # S = T T* with spectrum geometric down to 1 / 9e7, just inside the gate:
     # forming T T* would cost a factor cond(S), and a residual near 3e-8

@@ -62,18 +62,40 @@ class TestFrameBounds:
         with pytest.raises(NotSpanning):
             frame_bounds(Frame(np.array([[1.0], [0.0]])))
 
-    def test_spectrum_outside_the_float_range_is_a_typed_error(self):
-        # sigma^2 overflows at 1e200 and is subnormal at 1e-160; the frame spans
-        # at both, and every reader of its SVD raises instead of warning
-        readers = (frame_bounds, fo.inverse_operator, canonical_dual, fo.tight_dual_exists,
-                   fo.parseval_dual_exists, lambda f: fo.optimal_dual(fo.DualProblem(f, 1.0)))
+    def test_spectrum_outside_the_float_range(self):
+        # the frame spans at both scales; sigma^2 overflows at 1e200, so every
+        # reader of it raises, while at 1e-160 only the readers that invert
+        # sigma^2 raise, and the others still answer
         a = np.random.default_rng(5).standard_normal((3, 5))
+        inverting = (fo.inverse_operator, canonical_dual,
+                     lambda f: fo.optimal_dual(fo.DualProblem(f, 1.0)))
+        answering = (frame_bounds, fo.tight_dual_exists, fo.parseval_dual_exists)
         for scale, error in ((1e200, DomainError), (1e-160, SingularFrameOperator)):
             frame = Frame(scale * a)
             assert frame.spanning
-            for reader in readers:
+            for reader in inverting + answering if scale > 1.0 else inverting:
                 with pytest.raises(error):
                     reader(frame)
+        tiny, unit = Frame(1e-160 * a), Frame(a)
+        lo, hi = frame_bounds(unit)
+        assert frame_bounds(tiny) == pytest.approx((lo * 1e-320, hi * 1e-320), rel=1e-3)
+        assert fo.tight_dual_exists(tiny) == fo.tight_dual_exists(unit)
+        assert not fo.parseval_dual_exists(tiny)
+        # potential reads sigma^2 too: past the float range it is inf, with no warning
+        assert potential(Frame(1e200 * a), PotentialKind.FRAME_POTENTIAL) == np.inf
+
+    def test_long_frame(self):
+        # n >> d: every reader costs O(n d^2), with no n x n factor
+        t = np.random.default_rng(8).standard_normal((2, 20000)) / 100.0
+        frame = Frame(t)
+        w = np.linalg.eigvalsh(t @ t.T)
+        assert frame.spanning
+        assert frame_bounds(frame) == pytest.approx(tuple(w), rel=1e-12)
+        assert np.allclose(fo.inverse_operator(frame).eigenvalues.values, 1.0 / w, rtol=1e-12)
+        assert is_dual(frame, canonical_dual(frame))
+        assert fo.tight_dual_exists(frame) and fo.parseval_dual_exists(frame)
+        mse = potential(frame, PotentialKind.MEAN_SQUARE_ERROR)
+        assert mse == pytest.approx(float(np.sum(1.0 / w)), rel=1e-12)
 
 
 class TestCanonicalDual:
