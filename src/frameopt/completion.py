@@ -28,7 +28,7 @@ from .majorization import (
     trace_f,
 )
 from .schur_horn import realize_frame
-from .spectra import NuBreakdown, minimizer_is_unique, nu
+from .spectra import NuBreakdown, nu
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,13 @@ def plan(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionPlan
     padded = np.zeros(k)  # mu_hat.size = d - kept <= d - m = k
     padded[: mu_hat.size] = mu_hat
     feasible = majorizes(padded, problem.beta, tol * t)
-    unique = minimizer_is_unique(lam, m, t, tol)
     return CompletionPlan(
         r_hat=breakdown.kept,
         c_hat=breakdown.c,
         mu_hat=mu_hat,
         nu=breakdown.nu,
         feasible=feasible,
-        unique_B=unique,
+        unique_B=breakdown.unique,
         breakdown=breakdown,
     )
 

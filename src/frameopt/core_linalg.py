@@ -106,24 +106,26 @@ class HermitianPSD:
     ``eigenvectors`` pair with it.  Real input matrices keep real storage.
     ``matrix`` is a read-only copy of the input, always taken, or for an
     object built from an eigensystem the Hermitian part of V diag(w) V*,
-    assembled on first access.
+    assembled on first access.  Every constructor applies one PSD test:
+    NotPositiveSemidefinite when the least eigenvalue is below -1e-10 times
+    the eigenvalues' norm; a smaller negative eigenvalue is clamped to 0.
     """
 
     __slots__ = ("_matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        w, v = eig_hermitian(matrix)
-        if w.size and w[-1] < -PSD_TOL * _norm(w):
-            raise NotPositiveSemidefinite(f"minimum eigenvalue {w[-1]:.3e} below tolerance")
-        self._set(w, v, np.array(matrix, copy=True))
+        self._set(*eig_hermitian(matrix), np.array(matrix, copy=True))
 
     @classmethod
     def _trusted(cls, w, v) -> "HermitianPSD":
-        """From orthonormal eigenpairs (as from ``eigh``), stably sorted here; no re-check."""
+        """From orthonormal eigenpairs (as from ``eigh``), stably sorted here; no orthonormality check."""
         order = np.argsort(-w, kind="stable")
         return cls.__new__(cls)._set(w[order], v[:, order])
 
     def _set(self, w, v, matrix=None) -> "HermitianPSD":
+        # every constructor's PSD test; _norm runs only when an eigenvalue is negative
+        if w.size and w[-1] < 0.0 and w[-1] < -PSD_TOL * _norm(w):
+            raise NotPositiveSemidefinite(f"minimum eigenvalue {w[-1]:.3e} below tolerance")
         for arr in (v, matrix):
             if arr is not None:
                 arr.flags.writeable = False
@@ -137,7 +139,9 @@ class HermitianPSD:
         """Build from known eigenvalues and an orthonormal eigenbasis.
 
         Skips the eigensolver; pairs are sorted into nonincreasing
-        eigenvalue order (stable in the given column order).
+        eigenvalue order (stable in the given column order).  The PSD test
+        is the constructor's: ``from_eigensystem([-1.0, 2.0], np.eye(2))``
+        raises NotPositiveSemidefinite, while -1e-20 next to 2.0 reads as 0.
         """
         w = np.asarray(values, dtype=float).reshape(-1)
         v = np.asarray(vectors)

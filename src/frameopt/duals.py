@@ -20,7 +20,7 @@ from .core_linalg import HermitianPSD, _fix_phases
 from .errors import InsufficientCorank
 from .frames import Frame, _operator_svd, _svd, frame_to_json, inverse_operator
 from .majorization import DEFAULT_TOL, SpectrumVec
-from .spectra import NuBreakdown, minimizer_is_unique, nu
+from .spectra import NuBreakdown, nu
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
         dual=Frame(synthesis),
         operator=operator,
         nu=breakdown.nu,
-        unique_S=minimizer_is_unique(lam, problem.m, problem.t, tol),
+        unique_S=breakdown.unique,
     )
 
 

@@ -56,8 +56,13 @@ class Frame:
         return self._synthesis[:, i]
 
     def operator(self) -> HermitianPSD:
+        """S = T T*, made once; DomainError where its entries overflow."""
         if self._operator is None:
-            self._operator = HermitianPSD(self._synthesis @ self._synthesis.conj().T)
+            with np.errstate(over="ignore", invalid="ignore"):  # complex inf - inf is nan
+                s = self._synthesis @ self._synthesis.conj().T
+            if not np.isfinite(s).all():
+                raise DomainError("frame operator entries overflow")
+            self._operator = HermitianPSD(s)
         return self._operator
 
     @property
@@ -179,10 +184,11 @@ def frame_from_json(obj) -> Frame:
         raise ValueError(f"frame JSON needs integer d, n and vectors: {exc}") from exc
     if not isinstance(vectors, list) or len(vectors) != n:
         raise ValueError(f"expected {n} vectors")
-    cols = np.zeros((d, n), dtype=complex)
-    for i, vec in enumerate(vectors):
+    for i, vec in enumerate(vectors):  # before d x n is allocated: d may be huge
         if not isinstance(vec, list) or len(vec) != d:
             raise ValueError(f"vector {i} must have {d} entries")
+    cols = np.zeros((d, n), dtype=complex)
+    for i, vec in enumerate(vectors):
         for row, entry in enumerate(vec):
             cols[row, i] = _entry_to_complex(entry)
     if np.all(cols.imag == 0.0):

@@ -24,7 +24,7 @@ trace; ``in_lambda_set``'s is absolute.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class Regime(enum.Enum):
     AT_OR_ABOVE_S_STAR_STAR = "at_or_above_s_star_star"
 
 
-@dataclass(frozen=True, init=False)
-class NuBreakdown:
+class NuBreakdown(NamedTuple):
     """Minimal spectrum at trace t together with its building blocks.
 
     ``kept`` is r' = max(r, m): the top ``kept`` entries of ``lam`` stay as
@@ -50,6 +49,9 @@ class NuBreakdown:
     completion factors them into vectors of prescribed norms, the optimal
     dual into orthonormal kernel directions.  A mass at most TIE_TOL * c is
     summation-order residue, which a square root would amplify: it is cut to 0.
+    ``unique`` tells whether a single perturbed operator reaches ``nu``: true
+    when m <= 0, when lam_m exceeds lam_{m+1}, or when t does not exceed s*,
+    with ties decided within tol * lam_1.  Both solvers report it.
     """
 
     r: int
@@ -60,12 +62,7 @@ class NuBreakdown:
     regime: Regime
     kept: int
     increment: np.ndarray
-
-    def __init__(self, r, c, s_star, s_star_star, nu, regime, kept, increment):
-        # One dict update: the generated frozen __init__ calls object.__setattr__
-        # once per field, at about twice the cost, and every nu call builds one.
-        vars(self).update(r=r, c=c, s_star=s_star, s_star_star=s_star_star, nu=nu,
-                          regime=regime, kept=kept, increment=increment)
+    unique: bool
 
 
 def _clamped_trace(values: np.ndarray, t, tol: float):
@@ -215,11 +212,13 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
     t = t0 if t <= t0 else t  # as np.maximum: NaN passes, -0.0 becomes t0
     sst = sstst = None
-    regime = Regime.AT_OR_BELOW_S_STAR
+    regime, unique = Regime.AT_OR_BELOW_S_STAR, True
     if m >= 1:
         sst, sstst = _thresholds(values, m)
         if t > sst:
             regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
+            tie = tol * float(values[0])  # past s*, a tie at lam_m lets B rotate
+            unique = float(values[m - 1]) - float(values[m]) > tie or t <= sst + tie
     r_arr, c_arr = _waterfill(values, m, np.array([t]), sst)
     r, c = int(r_arr[0]), float(c_arr[0])
     kept = max(r, m)
@@ -238,24 +237,17 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
         raise ArithmeticError("gap vector came out negative")
     increment[increment <= TIE_TOL * c] = 0.0
     increment.setflags(write=False)
-    return NuBreakdown(r, c, sst, sstst, spectrum, regime, kept, increment)
+    return NuBreakdown(r, c, sst, sstst, spectrum, regime, kept, increment, unique)
 
 
 def minimizer_is_unique(lam, m: int, t, tol: float = DEFAULT_TOL) -> bool:
     """Whether the minimal spectrum is reached by a unique perturbed operator.
 
-    True when m <= 0, when lam_m exceeds lam_{m+1}, or when t does not
-    exceed the rank threshold s*; otherwise the perturbation can be rotated
-    inside the tied eigenspace.  Ties are decided within tol * lam_1.
+    ``nu(lam, m, t, tol).unique``, so ``nu``'s trace rule holds: BadTrace
+    when t is below tr(lam) * (1 - tol).
     """
     values = spectrum_values(lam)
-    mm = _check_m(values, m)
-    if mm <= 0:
-        return True
-    tie = tol * float(values[0])
-    if values[mm - 1] - values[mm] > tie:
-        return True
-    return float(t) <= _thresholds(values, mm)[0] + tie
+    return _nu(values, _check_m(values, m), t, tol).unique
 
 
 def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray, tol: float) -> bool:

@@ -260,6 +260,16 @@ class TestPotential:
         assert code == 0
         assert float(out) == pytest.approx(158.125, abs=5e-3)
 
+    def test_overflowing_potential_prints_inf(self, capsys, tmp_path):
+        # a non-finite number is emitted as a JSON string
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(fo.frame_to_json(fo.Frame(1e200 * np.eye(3)))))
+        code, out, _ = run(capsys, "potential", "--frame", str(path), "--kind", "fp")
+        assert (code, out) == (0, '"inf"\n')
+        # the completion side cannot form T T* at this scale: a typed error, exit 2
+        code, out, err = run(capsys, "complete", "--frame", str(path), "--beta", "1,1")
+        assert (code, out, err) == (2, "", "frameopt: frame operator entries overflow\n")
+
     def test_singular_exit(self, capsys, tmp_path):
         flat = fo.Frame(np.array([[1.0, 2.0], [0.0, 0.0]]))
         path = tmp_path / "flat.json"
@@ -292,6 +302,9 @@ class TestInputHandling:
             ("{not json", "bad frame JSON: Expecting property name enclosed in double quotes: "
                           "line 1 column 2 (char 1)"),
             ('{"d": 2, "n": 3, "vectors": [[1, 0]]}', "expected 3 vectors"),
+            # the vectors are checked before a d x n array is allocated
+            ('{"d": 1000000000000, "n": 1, "vectors": [[1.0]]}',
+             "vector 0 must have 1000000000000 entries"),
             (None, "cannot read '{path}': [Errno 2] No such file or directory: '{path}'"),
         ],
     )

@@ -152,6 +152,13 @@ class TestHermitianPSD:
         with pytest.raises(NotPositiveSemidefinite):
             HermitianPSD(np.diag([1.0, -1.0]))
 
+    def test_from_eigensystem_applies_the_same_psd_test(self):
+        with pytest.raises(NotPositiveSemidefinite):
+            HermitianPSD.from_eigensystem([-1.0, 2.0], np.eye(2))
+        # rounding residue below zero is clamped, as for a matrix input
+        op = HermitianPSD.from_eigensystem([-1e-20, 2.0], np.eye(2))
+        assert op.eigenvalues.values.tolist() == [2.0, 0.0]
+
     def test_from_eigensystem_matches(self, rng):
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         op = HermitianPSD(z @ z.conj().T)

@@ -64,12 +64,13 @@ class TestFrameBounds:
 
     def test_spectrum_outside_the_float_range(self):
         # the frame spans at both scales; sigma^2 overflows at 1e200, so every
-        # reader of it raises, while at 1e-160 only the readers that invert
-        # sigma^2 raise, and the others still answer
+        # reader of it raises, T T* on the completion side too, while at 1e-160
+        # only the readers that invert sigma^2 raise, and the others still answer
         a = np.random.default_rng(5).standard_normal((3, 5))
         inverting = (fo.inverse_operator, canonical_dual,
                      lambda f: fo.optimal_dual(fo.DualProblem(f, 1.0)))
-        answering = (frame_bounds, fo.tight_dual_exists, fo.parseval_dual_exists)
+        answering = (frame_bounds, fo.tight_dual_exists, fo.parseval_dual_exists,
+                     fo.frame_operator, lambda f: fo.plan(fo.CompletionProblem(f, [1.0, 1.0])))
         for scale, error in ((1e200, DomainError), (1e-160, SingularFrameOperator)):
             frame = Frame(scale * a)
             assert frame.spanning

@@ -510,16 +510,26 @@ def test_cutoff_right_continuous_at_jump_traces(rng):
 
 
 class TestUniqueness:
+    # nu decides uniqueness too: its verdict is minimizer_is_unique's
     def test_nonpositive_m(self):
         assert minimizer_is_unique(LAM_A, 0, 40.0)
+        assert nu(LAM_A, 0, 40.0).unique
 
     def test_gap_at_m(self):
         # lam_2 = 3 > lam_3 = 1.5: unique for any t
         assert minimizer_is_unique(LAM_DUAL, 2, 18.0)
+        assert nu(LAM_DUAL, 2, 18.0).unique
 
     def test_tie_below_threshold(self):
         # lam_2 = lam_3 = 4 but t <= s* keeps it unique
         assert minimizer_is_unique(LAM_B, 2, 22.5)
+        assert nu(LAM_B, 2, 22.5).unique
 
     def test_tie_above_threshold(self):
         assert not minimizer_is_unique(LAM_B, 2, 24.0)
+        assert not nu(LAM_B, 2, 24.0).unique
+
+    def test_follows_the_trace_rule_of_nu(self):
+        # tr(LAM_B) = 19: below it there is no minimal spectrum to be unique
+        with pytest.raises(BadTrace):
+            minimizer_is_unique(LAM_B, 2, 18.0)
