@@ -28,8 +28,8 @@ from .errors import (
     RankDeficient,
     SingularFrameOperator,
 )
-from .frames import Frame, duality_residual, frame_from_json, potential
-from .majorization import DEFAULT_TOL, GATE_TOL, PotentialKind
+from .frames import Frame, _is_real, duality_residual, frame_from_json, potential
+from .majorization import GATE_TOL, PotentialKind
 from .spectra import nu
 
 EXIT_OK = 0
@@ -38,7 +38,6 @@ EXIT_BAD_TRACE = 3
 EXIT_INFEASIBLE = 4
 EXIT_RANK = 5
 EXIT_NOT_SPANNING = 6
-_RELATIVE_TOL = "relative tolerance, scaled by the problem's trace (default %(default)s)"
 
 
 # Checked in order: the first matching exception type gives the exit code.
@@ -84,7 +83,7 @@ def _load_spectrum(arg: str) -> list[float]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad JSON list: {exc}") from exc
-        if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+        if not isinstance(data, list) or not all(map(_is_real, data)):
             raise ValueError("spectrum file must hold a list of numbers")
         return [float(x) for x in data]
     return _parse_reals(text)
@@ -129,7 +128,7 @@ def _print(obj) -> None:
 
 def _cmd_nu(args) -> int:
     lam = _load_spectrum(args.lam)
-    breakdown = nu(lam, args.m, args.t, args.tol)
+    breakdown = nu(lam, args.m, args.t)
     _print(
         {
             "r": breakdown.r,
@@ -148,7 +147,7 @@ def _completion_problem(args) -> CompletionProblem:
 
 
 def _cmd_feasible(args) -> int:
-    the_plan = plan(_completion_problem(args), args.tol)
+    the_plan = plan(_completion_problem(args))
     _print(
         {
             "feasible": the_plan.feasible,
@@ -164,14 +163,14 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    result = complete(_completion_problem(args), args.tol)
+    result = complete(_completion_problem(args))
     _print(completion_to_json(result))
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_dual(args) -> int:
     frame = _load_frame(args.frame)
-    result = optimal_dual(DualProblem(frame, args.t), args.tol)
+    result = optimal_dual(DualProblem(frame, args.t))
     _print(dual_to_json(result))
     return EXIT_OK
 
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="base spectrum: inline comma list, file path, or -")
     p_nu.add_argument("--m", type=int, required=True, help="rank bound parameter (< d)")
     p_nu.add_argument("--t", type=float, required=True, help="trace target (>= tr lambda)")
-    p_nu.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_RELATIVE_TOL)
     p_nu.set_defaults(handler=_cmd_nu)
 
     for name, help_text, handler in (
@@ -216,12 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--frame", required=True, help="initial frame JSON (path or -)")
         p.add_argument("--beta", required=True,
                        help="prescribed squared norms, comma-separated")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_RELATIVE_TOL)
 
     p_dual = sub.add_parser("dual", help="optimal dual with operator trace >= t")
     p_dual.add_argument("--frame", required=True, help="frame JSON (path or -)")
     p_dual.add_argument("--t", type=float, required=True, help="trace lower bound")
-    p_dual.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_RELATIVE_TOL)
     p_dual.set_defaults(handler=_cmd_dual)
 
     p_check = sub.add_parser("check-dual", help="test whether two frames are dual")

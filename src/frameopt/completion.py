@@ -86,23 +86,22 @@ class CompletionResult:
     lower_bounds: dict
 
 
-def plan(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionPlan:
+def plan(problem: CompletionProblem) -> CompletionPlan:
     """Compute the optimal target spectrum and test feasibility.
 
-    ``tol`` is relative; the majorization test gets tol * t, t the completed
-    trace.  Raises RankDeficient when rank(S_F0) < d - k, which no completion by k
-    vectors can repair.
+    The majorization test gets DEFAULT_TOL * t, t the completed trace.  Raises
+    RankDeficient when rank(S_F0) < d - k, which no completion by k vectors can repair.
     """
     s0 = frame_operator(problem.initial)
     lam = s0.eigenvalues
     d, k, m, t = problem.d, problem.k, problem.m, problem.t
     if psd_rank(lam) < d - k:
         raise RankDeficient(f"rank(S_F0) must be at least d - k = {d - k}")
-    breakdown = nu(lam, m, t, tol)
+    breakdown = nu(lam, m, t)
     mu_hat = breakdown.increment
     padded = np.zeros(k)  # mu_hat.size = d - kept <= d - m = k
     padded[: mu_hat.size] = mu_hat
-    feasible = majorizes(padded, problem.beta, tol * t)
+    feasible = majorizes(padded, problem.beta, DEFAULT_TOL * t)
     return CompletionPlan(
         r_hat=breakdown.kept,
         c_hat=breakdown.c,
@@ -149,17 +148,17 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
     return bounds
 
 
-def complete(problem: CompletionProblem, tol: float = DEFAULT_TOL) -> CompletionResult:
+def complete(problem: CompletionProblem) -> CompletionResult:
     """Solve the completion problem; infeasibility is a result, not an error.
 
-    ``tol`` is relative, as in ``plan``; Schur-Horn gets tol * t.
+    As in ``plan``, Schur-Horn gets DEFAULT_TOL * t.
     """
-    completion_plan = plan(problem, tol)
+    completion_plan = plan(problem)
     bounds = lower_bounds(completion_plan.nu)
     added = completed = None
     if completion_plan.feasible:
         s0 = frame_operator(problem.initial)
-        added = realize_frame(optimal_B(s0, completion_plan), problem.beta, tol * problem.t)
+        added = realize_frame(optimal_B(s0, completion_plan), problem.beta, DEFAULT_TOL * problem.t)
         completed = Frame(np.hstack([problem.initial.synthesis, added]))
     return CompletionResult(
         feasible=completion_plan.feasible,

@@ -43,22 +43,22 @@ class DualResult:
     unique_S: bool
 
 
-def _solve_spectrum(problem: DualProblem, tol: float):
+def _solve_spectrum(problem: DualProblem):
     """S_F^{-1} and the minimal spectrum at the trace bound."""
     if problem.frame.n <= problem.frame.d:
         raise InsufficientCorank(
             "a basis has no redundancy: its only dual is the canonical dual"
         )
     sinv = inverse_operator(problem.frame)
-    return sinv, nu(sinv.eigenvalues, problem.m, problem.t, tol)
+    return sinv, nu(sinv.eigenvalues, problem.m, problem.t)
 
 
-def optimal_dual_spectrum(problem: DualProblem, tol: float = DEFAULT_TOL) -> NuBreakdown:
-    """Minimal dual-operator spectrum among duals with trace >= t (relative tol)."""
-    return _solve_spectrum(problem, tol)[1]
+def optimal_dual_spectrum(problem: DualProblem) -> NuBreakdown:
+    """Minimal dual-operator spectrum among duals with trace >= t."""
+    return _solve_spectrum(problem)[1]
 
 
-def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
+def optimal_dual(problem: DualProblem) -> DualResult:
     """Dual frame whose operator attains the minimal spectrum.
 
     The construction adds, on top of the canonical dual's analysis matrix,
@@ -67,12 +67,11 @@ def optimal_dual(problem: DualProblem, tol: float = DEFAULT_TOL) -> DualResult:
     the synthesis (right singular vectors of T past the d-th), so S_W =
     S_F^{-1} + Z*Z and duality is untouched.  The masses are the increment.
 
-    ``tol`` is relative, as in ``nu``: t may fall short of tr(S_F^{-1}) by
-    that fraction, and BadTrace is raised below that.  The q = d - kept
+    BadTrace is ``nu``'s: below tr(S_F^{-1}) * (1 - DEFAULT_TOL).  The q = d - kept
     masses always fit the n - d kernel directions, since kept >= m = 2d - n.
     """
     d = problem.frame.d
-    sinv, breakdown = _solve_spectrum(problem, tol)
+    sinv, breakdown = _solve_spectrum(problem)
     u, s, vh = _svd(problem.frame)  # which inverse_operator has gated
     lam, h, kept = sinv.eigenvalues, sinv.eigenvectors, breakdown.kept
     q = d - kept
@@ -96,15 +95,15 @@ def _singular_values(frame: Frame):
     return _operator_svd(frame, "duality")[1], 2 * frame.d - frame.n
 
 
-def tight_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
+def tight_dual_exists(frame: Frame) -> bool:
     """Whether some dual of the frame is tight.
 
     Always true for n >= 2d; otherwise the smallest frame-operator
     eigenvalue must have multiplicity at least m = 2d - n, within
-    tol times the largest eigenvalue.
+    DEFAULT_TOL times the largest eigenvalue.
     """
     s, m = _singular_values(frame)
-    return m <= 0 or bool((s[-m] / s[0]) ** 2 - (s[-1] / s[0]) ** 2 <= tol)
+    return m <= 0 or bool((s[-m] / s[0]) ** 2 - (s[-1] / s[0]) ** 2 <= DEFAULT_TOL)
 
 
 def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:

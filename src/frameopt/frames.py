@@ -160,14 +160,14 @@ def frame_to_json(frame: Frame) -> dict:
     return {"d": frame.d, "n": frame.n, "vectors": vectors}
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_real(entry):
         return complex(entry, 0.0)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(p, (int, float)) for p in entry)
-    ):
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_real, entry)):
         return complex(entry[0], entry[1])
     raise ValueError(f"vector entry must be a number or [re, im], got {entry!r}")
 
@@ -182,6 +182,9 @@ def frame_from_json(obj) -> Frame:
         vectors = obj["vectors"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"frame JSON needs integer d, n and vectors: {exc}") from exc
+    for key, size in (("d", d), ("n", n)):  # int() truncates 2.7 and reads "2" and true
+        if isinstance(obj[key], bool) or size != obj[key] or size < 1:
+            raise ValueError(f"frame JSON needs integer d, n >= 1, got {key} = {obj[key]!r}")
     if not isinstance(vectors, list) or len(vectors) != n:
         raise ValueError(f"expected {n} vectors")
     for i, vec in enumerate(vectors):  # before d x n is allocated: d may be huge

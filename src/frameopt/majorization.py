@@ -16,9 +16,10 @@ from .errors import DomainError, LengthMismatch
 
 # Tolerance factors: every slack is one of them times the scale of what it
 # compares (a norm, top eigenvalue or trace, never 1 + scale), so answers
-# follow a rescaling F -> aF.  A solver's ``tol`` is relative too; a
-# predicate's ``tol`` is absolute (the caller supplies both sides).
-DEFAULT_TOL = 1e-9  # solver default; traces, spectrum order and sign
+# follow a rescaling F -> aF.  The solvers take no ``tol``: theirs is
+# DEFAULT_TOL times the trace.  A predicate's ``tol`` is absolute (the caller
+# supplies both sides).
+DEFAULT_TOL = 1e-9  # solver slack, predicate default; traces, spectrum order and sign
 TIE_TOL = 1e-12  # waterfilling ties, the increment cut, unit rotations
 PSD_TOL = 1e-10  # symmetry, positive semidefiniteness, numerical rank
 GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality test

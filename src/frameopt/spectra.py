@@ -17,8 +17,8 @@ code on one contiguous row.  Every public function validates its inputs once
 (spectrum, ``m``, trace) and then calls it.  ``irregularity`` and
 ``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
 the trace thresholds where the rank bound starts to bite and where the level
-passes the top of the spectrum.  The solvers' ``tol`` is relative to the
-trace; ``in_lambda_set``'s is absolute.
+passes the top of the spectrum.  The solvers' slack is DEFAULT_TOL times the
+trace; ``in_lambda_set``, a predicate, takes an absolute ``tol``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class NuBreakdown(NamedTuple):
     summation-order residue, which a square root would amplify: it is cut to 0.
     ``unique`` tells whether a single perturbed operator reaches ``nu``: true
     when m <= 0, when lam_m exceeds lam_{m+1}, or when t does not exceed s*,
-    with ties decided within tol * lam_1.  Both solvers report it.
+    with ties decided within DEFAULT_TOL * lam_1.  Both solvers report it.
     """
 
     r: int
@@ -65,11 +65,11 @@ class NuBreakdown(NamedTuple):
     unique: bool
 
 
-def _clamped_trace(values: np.ndarray, t, tol: float):
-    """Validate t >= tr(values) * (1 - tol) and clamp upstream rounding."""
+def _clamped_trace(values: np.ndarray, t):
+    """Validate t >= tr(values) * (1 - DEFAULT_TOL) and clamp upstream rounding."""
     t0 = float(values.sum())
     t_arr = np.asarray(t, dtype=float)
-    if (t_arr < t0 * (1.0 - tol)).any():
+    if (t_arr < t0 * (1.0 - DEFAULT_TOL)).any():
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
     return np.maximum(t_arr, t0)
 
@@ -131,10 +131,10 @@ def _waterfill(values: np.ndarray, m: int, tt: np.ndarray, sst: float | None = N
     return r, levels[np.arange(tt.size), r]
 
 
-def _solve(lam, m, t, tol: float):
+def _solve(lam, m, t):
     values = spectrum_values(lam)
     mm = _check_m(values, m)
-    tt = _clamped_trace(values, t, tol)
+    tt = _clamped_trace(values, t)
     return _waterfill(values, mm, tt.reshape(-1))
 
 
@@ -155,18 +155,18 @@ def p_lambda(lam, r: int, t) -> float:
     return (np.asarray(t, dtype=float) - head) / (d - r)
 
 
-def irregularity(lam, t, tol: float = DEFAULT_TOL):
+def irregularity(lam, t):
     """Smallest r such that the waterfilling level p(r, t) clears lam_{r+1}.
 
     Equals 0 once t >= d * lam_1.  Accepts a scalar trace or an array of
     traces (an array comes back for an array).
     """
-    return r_lambda_m(lam, 0, t, tol)
+    return r_lambda_m(lam, 0, t)
 
 
-def c_lambda(lam, t, tol: float = DEFAULT_TOL):
+def c_lambda(lam, t):
     """Waterfilling level p(r_lambda(t), t); strictly increasing in t."""
-    return c_lambda_m(lam, 0, t, tol)
+    return c_lambda_m(lam, 0, t)
 
 
 def s_star(lam, m: int) -> float:
@@ -179,36 +179,36 @@ def s_star_star(lam, m: int) -> float:
     return _checked_thresholds(lam, m)[1]
 
 
-def c_lambda_m(lam, m: int, t, tol: float = DEFAULT_TOL):
+def c_lambda_m(lam, m: int, t):
     """Waterfilling level under a rank-(d-m) budget for the added mass."""
-    return _shaped_like(_solve(lam, m, t, tol)[1], t, float)
+    return _shaped_like(_solve(lam, m, t)[1], t, float)
 
 
-def r_lambda_m(lam, m: int, t, tol: float = DEFAULT_TOL):
+def r_lambda_m(lam, m: int, t):
     """Smallest r with lam_{r+1} <= the rank-limited waterfilling level."""
-    return _shaped_like(_solve(lam, m, t, tol)[0], t, int)
+    return _shaped_like(_solve(lam, m, t)[0], t, int)
 
 
-def nu(lam, m: int, t, tol: float = DEFAULT_TOL) -> NuBreakdown:
+def nu(lam, m: int, t) -> NuBreakdown:
     """Submajorization-minimal spectrum reachable at trace t.
 
     The top ``kept`` = max(r, m) entries of ``lam`` stay, the rest are
     raised to the level c; ``regime`` names the piece of the rule (t
     against s* and s**).  The result has trace t and is nonincreasing;
     whether it is entrywise above ``lam`` at the capped positions is the
-    caller's membership question.  ``nu`` owns both solvers' trace rule,
-    with ``tol`` relative: t may fall short of tr(lam) by tol * tr(lam), and
-    an increment may fall below zero by tol * t (it is then cut to 0).  A t
+    caller's membership question.  ``nu`` owns both solvers' trace rule:
+    t may fall short of tr(lam) by DEFAULT_TOL * tr(lam), and an increment
+    may fall below zero by DEFAULT_TOL * t (it is then cut to 0).  A t
     whose level c underflows (``nu([0, 0], 0, 5e-324)``) raises BadTrace too.
     """
     values = spectrum_values(lam)
-    return _nu(values, _check_m(values, m), t, tol)
+    return _nu(values, _check_m(values, m), t)
 
 
-def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
+def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
     d = values.size
     t0, t = float(np.add.reduce(values)), float(t)
-    if t < t0 * (1.0 - tol):  # _clamped_trace on a Python float
+    if t < t0 * (1.0 - DEFAULT_TOL):  # _clamped_trace on a Python float
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
     t = t0 if t <= t0 else t  # as np.maximum: NaN passes, -0.0 becomes t0
     sst = sstst = None
@@ -217,7 +217,7 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
         sst, sstst = _thresholds(values, m)
         if t > sst:
             regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
-            tie = tol * float(values[0])  # past s*, a tie at lam_m lets B rotate
+            tie = DEFAULT_TOL * float(values[0])  # past s*, a tie at lam_m lets B rotate
             unique = float(values[m - 1]) - float(values[m]) > tie or t <= sst + tie
     r_arr, c_arr = _waterfill(values, m, np.array([t]), sst)
     r, c = int(r_arr[0]), float(c_arr[0])
@@ -233,21 +233,20 @@ def _nu(values: np.ndarray, m: int, t, tol: float) -> NuBreakdown:
             raise BadTrace(f"trace target {t} underflows the level c = {c}")
         raise ArithmeticError("assembled spectrum lost trace mass")
     increment = c - values[kept:]  # kept <= d - 1, so never empty
-    if np.minimum.reduce(increment) < -tol * t:
+    if np.minimum.reduce(increment) < -DEFAULT_TOL * t:
         raise ArithmeticError("gap vector came out negative")
     increment[increment <= TIE_TOL * c] = 0.0
     increment.setflags(write=False)
     return NuBreakdown(r, c, sst, sstst, spectrum, regime, kept, increment, unique)
 
 
-def minimizer_is_unique(lam, m: int, t, tol: float = DEFAULT_TOL) -> bool:
+def minimizer_is_unique(lam, m: int, t) -> bool:
     """Whether the minimal spectrum is reached by a unique perturbed operator.
 
-    ``nu(lam, m, t, tol).unique``, so ``nu``'s trace rule holds: BadTrace
-    when t is below tr(lam) * (1 - tol).
+    ``nu(lam, m, t).unique``, so BadTrace below tr(lam) * (1 - DEFAULT_TOL).
     """
     values = spectrum_values(lam)
-    return _nu(values, _check_m(values, m), t, tol).unique
+    return _nu(values, _check_m(values, m), t).unique
 
 
 def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray, tol: float) -> bool:
@@ -285,7 +284,7 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     """
     values = spectrum_values(lam)
     mm = _check_m(values, m)
-    minimal = _nu(values, mm, t, DEFAULT_TOL).nu
+    minimal = _nu(values, mm, t).nu
     base = minimal.values
     d = values.size
     if scale is None:

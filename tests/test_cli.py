@@ -68,7 +68,11 @@ class TestNu:
 
     @pytest.mark.parametrize(
         "text, message",
-        [('[9, "a"]', "spectrum file must hold a list of numbers"), ("[9, 5", "bad JSON list")],
+        [
+            ('[9, "a"]', "spectrum file must hold a list of numbers"),
+            ("[true, 1.0, 1.0, 1.0, 1.0]", "spectrum file must hold a list of numbers"),
+            ("[9, 5", "bad JSON list"),
+        ],
     )
     def test_bad_json_list_file_exit(self, capsys, tmp_path, text, message):
         lam_file = tmp_path / "lam.json"
@@ -306,6 +310,18 @@ class TestInputHandling:
             ('{"d": 1000000000000, "n": 1, "vectors": [[1.0]]}',
              "vector 0 must have 1000000000000 entries"),
             (None, "cannot read '{path}': [Errno 2] No such file or directory: '{path}'"),
+            # sizes must be integers of at least 1, not truncated, parsed or bool
+            ('{"d": -1, "n": 0, "vectors": []}', "frame JSON needs integer d, n >= 1, got d = -1"),
+            ('{"d": 2.7, "n": 1, "vectors": [[1, 2]]}',
+             "frame JSON needs integer d, n >= 1, got d = 2.7"),
+            ('{"d": "2", "n": true, "vectors": [[1, 2]]}',
+             "frame JSON needs integer d, n >= 1, got d = '2'"),
+            ('{"d": 2, "n": true, "vectors": [[1, 2]]}',
+             "frame JSON needs integer d, n >= 1, got n = True"),
+            ('{"d": 2, "n": 1, "vectors": [[true, false]]}',
+             "vector entry must be a number or [re, im], got True"),
+            ('{"d": 1, "n": 1, "vectors": [[[1, true]]]}',
+             "vector entry must be a number or [re, im], got [1, True]"),
         ],
     )
     def test_frame_parse_errors(self, capsys, tmp_path, text, message):
@@ -315,6 +331,24 @@ class TestInputHandling:
         code, out, err = run(capsys, "dual", "--frame", str(path), "--t", "5")
         assert (code, out) == (2, "")
         assert err == "frameopt: " + message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nu", "--lambda", "9,5,4,2,1", "--m", "3", "--t", "26.5"],
+            ["complete", "--frame", "{ej1}", "--beta", "3,2.5"],
+            ["feasible", "--frame", "{ej1}", "--beta", "3,2.5"],
+            ["dual", "--frame", "{dual}", "--t", "16.5"],
+        ],
+    )
+    def test_solvers_take_no_tol(self, capsys, ej1_path, dual_path, argv):
+        # the solvers' slack is DEFAULT_TOL; only check-dual takes --tol
+        argv = [a.format(ej1=ej1_path, dual=dual_path) for a in argv]
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
 
     def test_overflowing_dimension_exit(self, capsys, tmp_path):
         path = tmp_path / "big.json"

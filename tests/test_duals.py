@@ -3,6 +3,7 @@ import pytest
 
 import frameopt as fo
 from frameopt import (
+    DEFAULT_TOL,
     DualProblem,
     Frame,
     PotentialKind,
@@ -100,13 +101,13 @@ class TestOptimalDual:
             optimal_dual(DualProblem(dual_frame, 9.0))
 
     def test_trace_slack_is_relative(self, dual_frame):
-        # nu's rule: t may fall short of tr(S_F^-1) by the fraction tol, no more
+        # nu's rule: t may fall short of tr(S_F^-1) by the fraction DEFAULT_TOL, no more
         w = inverse_operator(dual_frame).eigenvalues.values
-        t0, tol = float(w.sum()), 1e-6
-        res = optimal_dual(DualProblem(dual_frame, t0 * (1.0 - tol / 2)), tol)
+        t0 = float(w.sum())
+        res = optimal_dual(DualProblem(dual_frame, t0 * (1.0 - DEFAULT_TOL / 2)))
         assert np.max(np.abs(res.nu.values - w)) <= 1e-12 * w[0]
         with pytest.raises(BadTrace):
-            optimal_dual(DualProblem(dual_frame, t0 * (1.0 - 2 * tol)), tol)
+            optimal_dual(DualProblem(dual_frame, t0 * (1.0 - 2 * DEFAULT_TOL)))
 
     def test_subnormal_operator(self):
         # at scale 1e-160 the spanning gate passes, but 1 / S would overflow
