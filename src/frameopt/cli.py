@@ -79,13 +79,13 @@ def _load_spectrum(arg: str) -> list[float]:
         pass
     text = _read_source(arg).strip()
     if text.startswith("["):
-        try:
-            data = json.loads(text)
+        try:  # an integer past the float range reads as inf, as 1e999 does
+            data = json.loads(text, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad JSON list: {exc}") from exc
         if not isinstance(data, list) or not all(map(_is_real, data)):
             raise ValueError("spectrum file must hold a list of numbers")
-        return [float(x) for x in data]
+        return data
     return _parse_reals(text)
 
 

@@ -27,7 +27,7 @@ from .majorization import (
     majorizes,
     trace_f,
 )
-from .schur_horn import realize_frame
+from .schur_horn import _chain, _factor
 from .spectra import NuBreakdown, nu
 
 
@@ -151,14 +151,19 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
 def complete(problem: CompletionProblem) -> CompletionResult:
     """Solve the completion problem; infeasibility is a result, not an error.
 
-    As in ``plan``, Schur-Horn gets DEFAULT_TOL * t.
+    Adds ``realize_frame(optimal_B(S_F0, plan), beta, DEFAULT_TOL * t)`` bit for bit without
+    its checks: rank(B) <= d - r_hat <= k, and its majorization test is ``plan``'s.
     """
     completion_plan = plan(problem)
     bounds = lower_bounds(completion_plan.nu)
     added = completed = None
     if completion_plan.feasible:
+        values = np.zeros(problem.d)
+        values[completion_plan.r_hat :] = completion_plan.mu_hat  # >= 0
+        top = np.argsort(-values, kind="stable")[: problem.k]  # as optimal_B's _trusted
+        sigma = np.concatenate((values[top], np.zeros(problem.k - top.size)))  # plan's multiset
         s0 = frame_operator(problem.initial)
-        added = realize_frame(optimal_B(s0, completion_plan), problem.beta, DEFAULT_TOL * problem.t)
+        added = _factor(s0.eigenvectors[:, top], sigma, _chain(sigma, problem.beta))
         completed = Frame(np.hstack([problem.initial.synthesis, added]))
     return CompletionResult(
         feasible=completion_plan.feasible,

@@ -51,18 +51,18 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     if v.size == 0:
         return v
     mag = np.abs(v)
-    mask = mag > GATE_TOL * np.linalg.norm(v, axis=0)
+    mask = mag > GATE_TOL * np.sqrt(np.add.reduce((v.conj() * v).real, 0))  # norm(v, axis=0)
     rows = mask.argmax(axis=0)  # first significant entry; 0 in a column with none
     cols = np.arange(v.shape[1])
     pivoted = mask[rows, cols]
-    # a column with no pivot gets the neutral phase 1
-    pivot = np.where(pivoted, v[rows, cols], 1.0)
+    pivot = v[rows, cols]
     if np.iscomplexobj(v):
-        v *= np.conj(pivot) / np.where(pivoted, mag[rows, cols], 1.0)
-        rows, cols = rows[pivoted], cols[pivoted]
-        v[rows, cols] = mag[rows, cols]
+        size = mag[rows, cols]
+        # a column with no pivot gets the neutral phase 1
+        v *= np.conj(np.where(pivoted, pivot, 1.0)) / np.where(pivoted, size, 1.0)
+        v[rows[pivoted], cols[pivoted]] = size[pivoted]
     else:
-        v *= np.where(pivot < 0.0, -1.0, 1.0)
+        v *= np.where(pivoted & (pivot < 0.0), -1.0, 1.0)
     return v
 
 
@@ -71,6 +71,18 @@ def _norm(a) -> float:
     mag = np.abs(a)
     top = float(mag.max(initial=0.0))
     return top * float(np.linalg.norm(mag / top)) if top > 0.0 else 0.0
+
+
+def _eigh(arr: np.ndarray):
+    """``eig_hermitian`` on a finite square float or complex array, used as is."""
+    # exactly Hermitian input would pass the test, and (A + A*)/2 == A bit for bit
+    if not np.array_equal(arr, arr.conj().T):
+        if _norm(arr / 2.0 - arr.conj().T / 2.0) > PSD_TOL * _norm(arr / 2.0):
+            raise NotHermitian("matrix is not equal to its adjoint")
+        arr = _hermitian_part(arr)
+    w, v = np.linalg.eigh(arr)
+    order = np.argsort(-w, kind="stable")
+    return w[order], _fix_phases(v[:, order])
 
 
 def eig_hermitian(a):
@@ -88,15 +100,7 @@ def eig_hermitian(a):
     Raises NotHermitian when ``a`` differs from its adjoint beyond
     1e-10 * ||a||_F, compared as halves (A - A*)/2 that cannot overflow.
     """
-    arr = _check_square(a)
-    # exactly Hermitian input would pass the test, and (A + A*)/2 == A bit for bit
-    if not np.array_equal(arr, arr.conj().T):
-        if _norm(arr / 2.0 - arr.conj().T / 2.0) > PSD_TOL * _norm(arr / 2.0):
-            raise NotHermitian("matrix is not equal to its adjoint")
-        arr = _hermitian_part(arr)
-    w, v = np.linalg.eigh(arr)
-    order = np.argsort(-w, kind="stable")
-    return w[order], _fix_phases(v[:, order])
+    return _eigh(_check_square(a))
 
 
 class HermitianPSD:
@@ -114,7 +118,7 @@ class HermitianPSD:
     __slots__ = ("_matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        self._set(*eig_hermitian(matrix), np.array(matrix, copy=True))
+        self._set(*_eigh(_check_square(matrix)), np.array(matrix, copy=True))
 
     @classmethod
     def _trusted(cls, w, v) -> "HermitianPSD":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_linalg import HermitianPSD, _fix_phases
+from .core_linalg import HermitianPSD, _eigh, _fix_phases
 from .errors import DomainError, NotSpanning, ShapeMismatch, SingularFrameOperator
 from .majorization import GATE_TOL, PotentialKind, trace_f
 
@@ -62,7 +62,8 @@ class Frame:
                 s = self._synthesis @ self._synthesis.conj().T
             if not np.isfinite(s).all():
                 raise DomainError("frame operator entries overflow")
-            self._operator = HermitianPSD(s)
+            # HermitianPSD(s) without _check_square's second test and a copy of s
+            self._operator = HermitianPSD.__new__(HermitianPSD)._set(*_eigh(s), s)
         return self._operator
 
     @property
@@ -165,10 +166,13 @@ def _is_real(x) -> bool:
 
 
 def _entry_to_complex(entry) -> complex:
-    if _is_real(entry):
-        return complex(entry, 0.0)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_real, entry)):
-        return complex(entry[0], entry[1])
+    try:
+        if _is_real(entry):
+            return complex(entry, 0.0)
+        if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_real, entry)):
+            return complex(entry[0], entry[1])
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError("frame entries must be finite") from exc
     raise ValueError(f"vector entry must be a number or [re, im], got {entry!r}")
 
 

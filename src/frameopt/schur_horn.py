@@ -37,12 +37,16 @@ def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
     """
     lam = spectrum_values(spectrum)
     tgt = np.asarray(target, dtype=float).reshape(-1)
-    k = lam.size
-    if tgt.size != k:
-        raise NotMajorized(f"target length {tgt.size} != spectrum length {k}")
+    if tgt.size != lam.size:
+        raise NotMajorized(f"target length {tgt.size} != spectrum length {lam.size}")
     if not majorizes(lam, tgt, tol):
         raise NotMajorized("target diagonal is not majorized by the spectrum")
+    return _chain(lam, tgt)
 
+
+def _chain(lam: np.ndarray, tgt: np.ndarray):
+    """``rotation_chain`` past its checks, planned on Python floats."""
+    k = lam.size
     vals = lam.tolist()  # vals[row] = current diagonal value
     targets = tgt.tolist()
     active = list(range(k))
@@ -75,9 +79,8 @@ def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
     return rotations, np.array(rows)
 
 
-def unitary_for_diagonal(spectrum, target, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``."""
-    rotations, rows = rotation_chain(spectrum, target, tol)
+def _unitary(rotations, rows) -> np.ndarray:
+    """The rotations applied to the identity, rows reordered by ``rows``."""
     u = np.eye(rows.size)
     # givens_left's arithmetic in place on row views: c and s are real, so
     # rows i, j become [c, s; -s, c] times them, rounded the same way
@@ -89,6 +92,17 @@ def unitary_for_diagonal(spectrum, target, tol: float = DEFAULT_TOL) -> np.ndarr
         rj *= c
         rj -= t
     return u[rows]
+
+
+def unitary_for_diagonal(spectrum, target, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``."""
+    return _unitary(*rotation_chain(spectrum, target, tol))
+
+
+def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
+    """V diag(sigma)^1/2 U*, phase-fixed, with U from ``chain`` planned on sigma (padded to k)."""
+    u = _unitary(*chain)[:, : vectors.shape[1]]
+    return _fix_phases((vectors * np.sqrt(sigma[: u.shape[1]])) @ u.conj().T)
 
 
 def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -104,13 +118,10 @@ def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray
     if k == 0 or np.any(beta <= 0.0):
         raise ValueError("squared norms must be strictly positive")
     w = b.eigenvalues.values
-    d = b.dim
     rank = psd_rank(w)
     if rank > k:
         raise RankTooLarge(f"rank {rank} operator cannot be carried by {k} vectors")
-    p = min(d, k)
+    p = min(b.dim, k)
     sigma = np.zeros(k)
     sigma[:p] = w[:p]
-    u = unitary_for_diagonal(sigma, beta, tol)
-    g = (b.eigenvectors[:, :p] * np.sqrt(sigma[:p])) @ u[:, :p].conj().T
-    return _fix_phases(g)
+    return _factor(b.eigenvectors[:, :p], sigma, rotation_chain(sigma, beta, tol))

@@ -72,6 +72,8 @@ class TestNu:
             ('[9, "a"]', "spectrum file must hold a list of numbers"),
             ("[true, 1.0, 1.0, 1.0, 1.0]", "spectrum file must hold a list of numbers"),
             ("[9, 5", "bad JSON list"),
+            # an integer past the float range reads as a non-finite entry
+            ("[1" + "0" * 330 + ", 5, 4, 2, 1]", "spectrum entries must be finite"),
         ],
     )
     def test_bad_json_list_file_exit(self, capsys, tmp_path, text, message):
@@ -322,6 +324,11 @@ class TestInputHandling:
              "vector entry must be a number or [re, im], got True"),
             ('{"d": 1, "n": 1, "vectors": [[[1, true]]]}',
              "vector entry must be a number or [re, im], got [1, True]"),
+            # an integer past the float range, bare or in a pair, is non-finite
+            ('{"d": 1, "n": 1, "vectors": [[1' + "0" * 330 + "]]}",
+             "frame entries must be finite"),
+            ('{"d": 1, "n": 1, "vectors": [[[0, 1' + "0" * 330 + "]]]}",
+             "frame entries must be finite"),
         ],
     )
     def test_frame_parse_errors(self, capsys, tmp_path, text, message):

@@ -274,9 +274,50 @@ def test_optimal_completion_beats_random_alternatives(ej1_frame, rng):
 def test_one_eigensolve_per_completion(monkeypatch, cplx):
     synthesis = EJ1_SYNTHESIS * (1.0 + 1j) if cplx else EJ1_SYNTHESIS
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    # every module that imports majorizes: Schur-Horn reuses plan's verdict
+    majorizes = [count_calls(monkeypatch, m, "majorizes") for m in (fo.completion, fo.schur_horn)]
     res = complete(CompletionProblem(Frame(synthesis), [1.0, 1.0, 1.0]))
     assert res.feasible and res.added.shape == (5, 3)
     assert len(eigh) == 1
+    assert sum(map(len, majorizes)) == 1
+
+
+def _path_cases(rng):
+    """Seeded problems, real and complex, with tied spectra and tied or cut increments."""
+    for cplx in (False, True):
+        phase = 1j if cplx else 1.0
+        for lam in ([5.0, 3.0, 3.0, 2.0, 1.0], [4.0, 4.0, 4.0, 4.0], [4.0, 1.0, 1.0, 0.0],
+                    [3.0, 3.0, 1.0, 1.0, 1.0, 0.5]):
+            d = len(lam)
+            frames = (
+                Frame(phase * np.diag(np.sqrt(lam))),  # exact ties in S0 and the increment
+                frame_with_spectrum(rng, lam, d + 2, cplx),
+                Frame(rng.standard_normal((d, d + 1)) * phase + rng.standard_normal((d, d + 1))),
+            )
+            for frame in frames:
+                for k in range(1, d + 2):
+                    yield frame, np.full(k, 0.25)
+                    yield frame, np.full(k, 2.0)
+                    yield frame, rng.uniform(0.2, 3.0, k)
+
+
+def test_complete_adds_what_optimal_B_and_realize_frame_add(rng):
+    seen = {"tied": 0, "cut": 0, "infeasible": 0}
+    for frame, beta in _path_cases(rng):
+        prob = CompletionProblem(frame, beta)
+        res = complete(prob)
+        if not res.feasible:
+            seen["infeasible"] += 1
+            assert res.added is None
+            continue
+        b = optimal_B(fo.frame_operator(frame), res.plan)
+        ref = fo.realize_frame(b, prob.beta, fo.DEFAULT_TOL * prob.t)
+        assert res.added.dtype == ref.dtype and res.added.tobytes() == ref.tobytes()
+        assert np.array_equal(res.completed.synthesis, np.hstack([frame.synthesis, ref]))
+        mu = res.plan.mu_hat
+        seen["tied"] += bool(np.any((mu[1:] == mu[:-1]) & (mu[1:] > 0.0)))
+        seen["cut"] += bool(np.any(mu == 0.0))
+    assert min(seen.values()) > 0, seen
 
 
 def test_json_schema(ej1_frame):

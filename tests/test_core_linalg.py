@@ -137,6 +137,49 @@ def test_fix_phases_matches_loop(rng, cplx):
                 assert np.array_equal(fast, ref)
 
 
+def _fix_phases_norm(v):
+    # the formula before the column norms were summed without np.linalg.norm
+    if v.size == 0:
+        return v
+    mag = np.abs(v)
+    mask = mag > 1e-8 * np.linalg.norm(v, axis=0)
+    rows = mask.argmax(axis=0)
+    cols = np.arange(v.shape[1])
+    pivoted = mask[rows, cols]
+    pivot = np.where(pivoted, v[rows, cols], 1.0)
+    if np.iscomplexobj(v):
+        v *= np.conj(pivot) / np.where(pivoted, mag[rows, cols], 1.0)
+        rows, cols = rows[pivoted], cols[pivoted]
+        v[rows, cols] = mag[rows, cols]
+    else:
+        v *= np.where(pivot < 0.0, -1.0, 1.0)
+    return v
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_fix_phases_matches_the_norm_formula(rng, cplx):
+    tiny = np.finfo(float).tiny
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.standard_normal((7, 10))
+        if cplx:
+            v = v + 1j * scale * rng.standard_normal(v.shape)
+        v[:2, 1] = -0.0  # pivot further down, past signed zeros
+        v[:, 2] = 0.0  # zero column: no entry above the gate
+        v[:, 3] *= 1e300  # its squared norm overflows: no entry above the gate
+        v[:, 4] *= tiny / 8.0  # subnormal: its squared norm underflows to 0
+        v[:3, 5] = 1e-12 * scale  # below the gate, then a pivot
+        v[::2, 6] = tiny / 8.0  # subnormal entries beside normal ones
+        for w in (v, v[:, 4:], v[:, :2]):  # with and without unpivoted columns
+            with np.errstate(over="ignore", invalid="ignore"):  # column 3 only
+                ref = _fix_phases_norm(w.copy())
+                got = _fix_phases(w.copy())
+            assert _same_bits(got, ref)
+
+
 class TestHermitianPSD:
     def test_invariants(self, rng):
         z = rng.standard_normal((5, 5))
@@ -196,6 +239,11 @@ class TestHermitianPSD:
             ref, op = HermitianPSD((s + s.conj().T) / 2.0), Frame(z).operator()
             assert np.array_equal(op.eigenvalues.values, ref.eigenvalues.values)
             assert np.array_equal(op.eigenvectors, ref.eigenvectors)
+            # the operator skips HermitianPSD's input test and copy, nothing else
+            direct = HermitianPSD(s)
+            assert _same_bits(op.eigenvalues.values, direct.eigenvalues.values)
+            assert _same_bits(op.eigenvectors, direct.eigenvectors)
+            assert _same_bits(op.matrix, direct.matrix) and not op.matrix.flags.writeable
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_nearly_hermitian_input_is_factored_on_its_hermitian_part(self, rng, cplx):
