@@ -20,14 +20,8 @@ import numpy as np
 from .core_linalg import HermitianPSD, psd_rank
 from .errors import DomainError, Infeasible, RankDeficient
 from .frames import Frame, frame_operator, frame_to_json
-from .majorization import (
-    DEFAULT_TOL,
-    PotentialKind,
-    SpectrumVec,
-    majorizes,
-    trace_f,
-)
-from .schur_horn import _chain, _factor
+from .majorization import PotentialKind, SpectrumVec, trace_f
+from .schur_horn import _chain, _factor, _reachable
 from .spectra import NuBreakdown, nu
 
 
@@ -89,8 +83,8 @@ class CompletionResult:
 def plan(problem: CompletionProblem) -> CompletionPlan:
     """Compute the optimal target spectrum and test feasibility.
 
-    The majorization test gets DEFAULT_TOL * t, t the completed trace.  Raises
-    RankDeficient when rank(S_F0) < d - k, which no completion by k vectors can repair.
+    Feasible iff Schur-Horn's ``_reachable`` holds of mu_hat padded with zeros and beta.
+    Raises RankDeficient when rank(S_F0) < d - k, which no completion by k vectors can repair.
     """
     s0 = frame_operator(problem.initial)
     lam = s0.eigenvalues
@@ -100,14 +94,13 @@ def plan(problem: CompletionProblem) -> CompletionPlan:
     breakdown = nu(lam, m, t)
     mu_hat = breakdown.increment
     padded = np.zeros(k)  # mu_hat.size = d - kept <= d - m = k
-    padded[: mu_hat.size] = mu_hat
-    feasible = majorizes(padded, problem.beta, DEFAULT_TOL * t)
+    padded[: mu_hat.size] = mu_hat[::-1]  # nonincreasing: complete's sigma, bit for bit
     return CompletionPlan(
         r_hat=breakdown.kept,
         c_hat=breakdown.c,
         mu_hat=mu_hat,
         nu=breakdown.nu,
-        feasible=feasible,
+        feasible=_reachable(padded, problem.beta),
         unique_B=breakdown.unique,
         breakdown=breakdown,
     )
@@ -151,8 +144,8 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
 def complete(problem: CompletionProblem) -> CompletionResult:
     """Solve the completion problem; infeasibility is a result, not an error.
 
-    Adds ``realize_frame(optimal_B(S_F0, plan), beta, DEFAULT_TOL * t)`` bit for bit without
-    its checks: rank(B) <= d - r_hat <= k, and its majorization test is ``plan``'s.
+    Adds ``realize_frame(optimal_B(S_F0, plan), beta)`` bit for bit without its
+    checks: rank(B) <= d - r_hat <= k, and ``plan`` asked ``_reachable`` of this sigma.
     """
     completion_plan = plan(problem)
     bounds = lower_bounds(completion_plan.nu)
@@ -161,7 +154,7 @@ def complete(problem: CompletionProblem) -> CompletionResult:
         values = np.zeros(problem.d)
         values[completion_plan.r_hat :] = completion_plan.mu_hat  # >= 0
         top = np.argsort(-values, kind="stable")[: problem.k]  # as optimal_B's _trusted
-        sigma = np.concatenate((values[top], np.zeros(problem.k - top.size)))  # plan's multiset
+        sigma = np.concatenate((values[top], np.zeros(problem.k - top.size)))  # = plan's padded
         s0 = frame_operator(problem.initial)
         added = _factor(s0.eigenvectors[:, top], sigma, _chain(sigma, problem.beta))
         completed = Frame(np.hstack([problem.initial.synthesis, added]))

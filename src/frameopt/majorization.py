@@ -16,9 +16,9 @@ from .errors import DomainError, LengthMismatch
 
 # Tolerance factors: every slack is one of them times the scale of what it
 # compares (a norm, top eigenvalue or trace, never 1 + scale), so answers
-# follow a rescaling F -> aF.  The solvers take no ``tol``: theirs is
-# DEFAULT_TOL times the trace.  A predicate's ``tol`` is absolute (the caller
-# supplies both sides).
+# follow a rescaling F -> aF.  The solvers, Schur-Horn and ``in_lambda_set``
+# take no ``tol``: theirs is DEFAULT_TOL times a trace (the spectrum's, or t).
+# The predicates here take an absolute ``tol``: only the caller knows the scale.
 DEFAULT_TOL = 1e-9  # solver slack, predicate default; traces, spectrum order and sign
 TIE_TOL = 1e-12  # waterfilling ties, the increment cut, unit rotations
 PSD_TOL = 1e-10  # symmetry, positive semidefiniteness, numerical rank

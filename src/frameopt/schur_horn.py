@@ -2,9 +2,9 @@
 
 ``rotation_chain`` produces at most k - 1 plane rotations that conjugate
 diag(spectrum) into a matrix with a given diagonal (possible exactly when
-the target is majorized by the spectrum), pinning one diagonal entry per
-rotation.  ``realize_frame`` uses the resulting unitary to factor a PSD
-operator into vectors with prescribed squared norms.
+the target is majorized by the spectrum: ``_reachable``, which ``plan`` asks
+too), pinning one diagonal entry per rotation.  ``realize_frame`` uses the
+resulting unitary to factor a PSD operator into prescribed squared norms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ from .errors import NotMajorized, RankTooLarge
 from .majorization import DEFAULT_TOL, majorizes, spectrum_values
 
 
-def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
+def _reachable(spectrum: np.ndarray, target) -> bool:
+    """Whether ``target`` is majorized by ``spectrum`` within DEFAULT_TOL * tr(spectrum)."""
+    return majorizes(spectrum, target, DEFAULT_TOL * float(np.add.reduce(spectrum)))
+
+
+def rotation_chain(spectrum, target):
     """Plan the plane rotations that move diag(spectrum) onto ``target``.
 
     Returns ``(rotations, rows)``: ``rotations`` is a list of
@@ -33,13 +38,12 @@ def rotation_chain(spectrum, target, tol: float = DEFAULT_TOL):
     one, and one below every active value the smallest, again without a
     rotation.  The chain is deterministic and numerically gentle.
 
-    Raises NotMajorized unless target is majorized by spectrum.
+    Raises NotMajorized unless target is majorized by spectrum within
+    DEFAULT_TOL * tr(spectrum), and LengthMismatch on unequal lengths.
     """
     lam = spectrum_values(spectrum)
     tgt = np.asarray(target, dtype=float).reshape(-1)
-    if tgt.size != lam.size:
-        raise NotMajorized(f"target length {tgt.size} != spectrum length {lam.size}")
-    if not majorizes(lam, tgt, tol):
+    if not _reachable(lam, tgt):
         raise NotMajorized("target diagonal is not majorized by the spectrum")
     return _chain(lam, tgt)
 
@@ -94,9 +98,10 @@ def _unitary(rotations, rows) -> np.ndarray:
     return u[rows]
 
 
-def unitary_for_diagonal(spectrum, target, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``."""
-    return _unitary(*rotation_chain(spectrum, target, tol))
+def unitary_for_diagonal(spectrum, target) -> np.ndarray:
+    """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``;
+    ``rotation_chain``'s errors, its slack DEFAULT_TOL * tr(spectrum)."""
+    return _unitary(*rotation_chain(spectrum, target))
 
 
 def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
@@ -105,13 +110,13 @@ def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
     return _fix_phases((vectors * np.sqrt(sigma[: u.shape[1]])) @ u.conj().T)
 
 
-def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray:
+def realize_frame(b: HermitianPSD, beta) -> np.ndarray:
     """Vectors g_1..g_k with frame operator ``b`` and squared norms ``beta``.
 
     Returns a d x k matrix whose columns are the vectors.  The spectrum of
     ``b`` is padded with zeros (or truncated past its rank) to length k;
-    ``beta`` must be positive and majorized by that spectrum.  Each
-    column's first significant coordinate is made real positive.
+    ``beta`` must be positive and majorized by that spectrum, as ``rotation_chain``
+    tests.  Each column's first significant coordinate is made real positive.
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
     k = beta.size
@@ -124,4 +129,4 @@ def realize_frame(b: HermitianPSD, beta, tol: float = DEFAULT_TOL) -> np.ndarray
     p = min(b.dim, k)
     sigma = np.zeros(k)
     sigma[:p] = w[:p]
-    return _factor(b.eigenvectors[:, :p], sigma, rotation_chain(sigma, beta, tol))
+    return _factor(b.eigenvectors[:, :p], sigma, rotation_chain(sigma, beta))

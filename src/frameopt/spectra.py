@@ -17,8 +17,8 @@ code on one contiguous row.  Every public function validates its inputs once
 (spectrum, ``m``, trace) and then calls it.  ``irregularity`` and
 ``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
 the trace thresholds where the rank bound starts to bite and where the level
-passes the top of the spectrum.  The solvers' slack is DEFAULT_TOL times the
-trace; ``in_lambda_set``, a predicate, takes an absolute ``tol``.
+passes the top of the spectrum.  The slack of the solvers and of the
+membership test ``in_lambda_set`` is DEFAULT_TOL times the trace.
 """
 
 from __future__ import annotations
@@ -249,7 +249,8 @@ def minimizer_is_unique(lam, m: int, t) -> bool:
     return _nu(values, _check_m(values, m), t).unique
 
 
-def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray, tol: float) -> bool:
+def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray) -> bool:
+    tol = DEFAULT_TOL * max(float(t), float(np.add.reduce(values)))  # a member's trace tops both
     if not np.all(mu_v >= values - tol):
         return False
     if mu_v.sum() < float(t) - tol:
@@ -259,18 +260,18 @@ def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray, tol: float) -> b
     return True
 
 
-def in_lambda_set(lam, m: int, t, mu, tol: float = DEFAULT_TOL) -> bool:
+def in_lambda_set(lam, m: int, t, mu) -> bool:
     """Membership test for the reachable-spectra set at trace t.
 
     Checks mu >= lam entrywise, tr(mu) >= t, and for m >= 1 the shifted
-    caps mu_{d-m+i} <= lam_i, all within tol.
+    caps mu_{d-m+i} <= lam_i, all within DEFAULT_TOL * max(t, tr(lam)).
     """
     values = spectrum_values(lam)
     mm = _check_m(values, m)
     mu_v = np.asarray(getattr(mu, "values", mu), dtype=float).reshape(-1)
     if mu_v.size != values.size:
         raise LengthMismatch(f"lengths differ: {mu_v.size} vs {values.size}")
-    return _is_member(values, mm, t, spectrum_values(mu_v), tol)
+    return _is_member(values, mm, t, spectrum_values(mu_v))
 
 
 def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> SpectrumVec:
@@ -301,6 +302,6 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
         lower = base[j] if j == d - 1 else max(base[j], out[j + 1])
         out[j] = min(cap[j], lower + draw[j])
     sample = SpectrumVec(out)
-    if not _is_member(values, mm, t, sample.values, DEFAULT_TOL * float(t)):
+    if not _is_member(values, mm, t, sample.values):
         return minimal
     return sample

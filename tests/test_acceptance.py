@@ -132,7 +132,7 @@ def _completion_rivals(rng, frame, beta, count):
         sigma = spread_away_from(rng, np.sort(beta)[::-1])
         v = random_unitary(rng, d)[:, :k]
         b_alt = fo.HermitianPSD((v * sigma) @ v.T)
-        g = fo.realize_frame(b_alt, beta, 1e-8)
+        g = fo.realize_frame(b_alt, beta)
         yield Frame(np.hstack([frame.synthesis, g]))
 
 

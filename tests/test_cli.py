@@ -119,13 +119,19 @@ class TestComplete:
             np.sum(np.abs(restored.synthesis) ** 2, axis=0), [3.0, 2.5], atol=1e-8
         )
 
-    def test_infeasible_exit_code_with_output(self, capsys, ej1_path):
+    def test_infeasible_exit_code_with_output(self, capsys, ej1_path, tmp_path):
         code, out, _ = run(capsys, "complete", "--frame", ej1_path, "--beta", "3.5,2")
         assert code == 4
         obj = json.loads(out)
         assert obj["feasible"] is False
         assert obj["F1"] is None
         assert obj["lower_bounds"]["fp"] == pytest.approx(158.125, abs=0.1)
+        # beta misses mu_hat = (0.5, 0.5) by 1e-4, far below the completed trace 2e6 + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(fo.frame_to_json(fo.Frame(1e3 * np.eye(2)))))
+        for cmd in ("feasible", "complete"):
+            code, out, _ = run(capsys, cmd, "--frame", str(path), "--beta", "0.5001,0.4999")
+            assert code == 4 and json.loads(out)["feasible"] is False
 
     def test_feasible_subcommand(self, capsys, ej1_path):
         code, out, _ = run(capsys, "feasible", "--frame", ej1_path, "--beta", "3,2.5")
@@ -368,6 +374,8 @@ class TestInputHandling:
     def test_bad_beta_exit(self, capsys, ej1_path):
         code, _, err = run(capsys, "complete", "--frame", ej1_path, "--beta", "1,oops")
         assert code == 2
+        code, _, err = run(capsys, "complete", "--frame", ej1_path, "--beta", ",")
+        assert code == 2 and "empty number list" in err
 
     def test_emitted_json_reparses(self, capsys, ej1_path):
         _, out, _ = run(capsys, "complete", "--frame", ej1_path, "--beta", "3,2.5")

@@ -32,7 +32,9 @@ class TestEigHermitian:
 
     def test_rejects_non_hermitian(self):
         # A - A* would overflow on the second: it must not warn, but raise
-        for a in ([[1.0, 2.0], [0.0, 1.0]], [[0.0, 1e308], [-1e308, 0.0]]):
+        # so are a non-square and a non-finite matrix
+        for a in ([[1.0, 2.0], [0.0, 1.0]], [[0.0, 1e308], [-1e308, 0.0]], np.ones((2, 3)),
+                  [[np.inf]]):
             with pytest.raises(NotHermitian):
                 eig_hermitian(np.array(a))
 
@@ -209,6 +211,10 @@ class TestHermitianPSD:
         assert np.linalg.norm(rebuilt.matrix - op.matrix) <= 1e-10 * (
             1.0 + np.linalg.norm(op.matrix)
         )
+        # what is not an eigensystem: mismatched shapes, non-orthonormal columns
+        for vectors in (op.eigenvectors[:, :3], 2.0 * op.eigenvectors):
+            with pytest.raises(ValueError):
+                HermitianPSD.from_eigensystem(op.eigenvalues.values, vectors)
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_trusted_matrix_is_built_on_first_access(self, rng, cplx):

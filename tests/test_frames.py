@@ -207,5 +207,6 @@ def test_frame_basics():
     assert frame.d == 2 and frame.n == 3
     assert np.array_equal(frame.vector(2), [2.0, 0.0])
     assert frame.spanning
-    with pytest.raises(ShapeMismatch):
-        Frame(np.zeros(3))
+    for synthesis in (np.zeros(3), np.zeros((0, 3)), [[np.nan]]):
+        with pytest.raises(ShapeMismatch):
+            Frame(synthesis)

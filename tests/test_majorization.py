@@ -102,6 +102,8 @@ class TestTraceF:
 
     def test_neg_entropy_zero_is_zero(self):
         assert trace_f([1.0, 0.0], PotentialKind.NEG_ENTROPY) == 0.0
+        with pytest.raises(DomainError):  # but a negative entry has no x log x
+            trace_f([-1.0, 1.0], PotentialKind.NEG_ENTROPY)
 
     def test_mse_rejects_zero(self):
         with pytest.raises(DomainError):

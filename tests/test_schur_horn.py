@@ -8,7 +8,7 @@ from frameopt import (
     rotation_chain,
     unitary_for_diagonal,
 )
-from frameopt.errors import NotMajorized, RankTooLarge
+from frameopt.errors import LengthMismatch, NotMajorized, RankTooLarge
 
 from conftest import mixed_toward_average, random_psd
 
@@ -47,6 +47,8 @@ class TestUnitaryForDiagonal:
             unitary_for_diagonal([2.0, 1.0], [2.5, 0.5])
         with pytest.raises(NotMajorized):
             unitary_for_diagonal([2.0, 1.0], [1.5, 1.0])  # trace gap
+        with pytest.raises(LengthMismatch):  # as the majorization predicates
+            rotation_chain([2.0, 1.0], [1.5, 1.0, 0.5])
 
     def test_rotation_count_bound(self, rng):
         for _ in range(50):
@@ -138,6 +140,26 @@ class TestRealizeFrame:
         beta = np.full(3, b.trace() / 3.0)
         g = realize_frame(b, beta)
         assert g.dtype == np.float64
+
+
+@pytest.mark.parametrize("alpha", [2.0**-200, 1e-12, 1.0, 1e8, 2.0**200],
+                         ids=["2^-200", "1e-12", "1", "1e8", "2^200"])
+def test_verdicts_follow_rescaling(rng, alpha):
+    # the slack is DEFAULT_TOL * tr(spectrum): an absolute 1e-9 once rejected
+    # barycenters at scale 1e8 and accepted (2.5, 0.5) against (2, 1) at 1e-12
+    for _ in range(40):
+        k = int(rng.integers(1, 9))
+        lam = alpha * np.sort(rng.uniform(0.5, 4.0, k))[::-1]
+        barycenter = np.full(k, lam.sum() / k)
+        u = unitary_for_diagonal(lam, barycenter)
+        assert np.allclose(_diag_of_conjugation(u, lam), barycenter, rtol=1e-9 * k, atol=0.0)
+        g = realize_frame(HermitianPSD.from_eigensystem(lam, np.eye(k)), barycenter)
+        assert np.allclose(np.sum(g**2, axis=0), barycenter, rtol=1e-9 * k, atol=0.0)
+    with pytest.raises(NotMajorized):
+        unitary_for_diagonal(alpha * np.array([2.0, 1.0]), alpha * np.array([2.5, 0.5]))
+    with pytest.raises(NotMajorized):
+        realize_frame(HermitianPSD.from_eigensystem(alpha * np.array([2.0, 1.0]), np.eye(2)),
+                      alpha * np.array([2.5, 0.5]))
 
 
 def test_unitary_matches_a_chain_of_givens_left(rng):

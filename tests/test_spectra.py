@@ -223,6 +223,8 @@ class TestNu:
     def test_bad_m(self):
         with pytest.raises(BadM):
             nu(LAM_A, 5, 30.0)
+        with pytest.raises(BadM):  # not an integer
+            nu([2.0, 1.0], 0.5, 3.0)
 
     def test_base_trace_returns_lambda_at_every_scale(self, rng):
         # rounding in the cumulative sums once failed every cutoff test at
@@ -367,25 +369,30 @@ class TestMembership:
 
     def test_base_point(self):
         for m in (-1, 0, 1):
-            assert in_lambda_set([2.0, 1.0], m, 3.0, [2.0, 1.0])
+            for t in (3.0, 0.0, -1.0):  # below tr(lam) the slack still follows lam's scale
+                assert in_lambda_set([2.0, 1.0], m, t, [2.0, 1.0])
 
     def test_trace_shortfall(self):
         assert not in_lambda_set([2.0, 1.0], 0, 5.0, [2.5, 1.5])
 
     def test_entrywise_violation(self):
         assert not in_lambda_set([2.0, 1.0], 0, 3.0, [3.0, 0.5])
+        # an absolute slack of 1e-9 once let this pass; DEFAULT_TOL * t is 3e-21
+        assert not in_lambda_set([2e-12, 1e-12], 0, 3e-12, [2e-12, 0.5e-12])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             in_lambda_set([2.0, 1.0], 0, 3.0, [2.0, 1.0, 0.0])
 
     def test_nu_is_always_a_member(self, rng):
+        # at every scale: an absolute slack once rejected nu at 1e10
         for _ in range(200):
             d = int(rng.integers(1, 9))
             lam = random_spectrum(rng, d)
             m = int(rng.integers(-3, d))
             t = float(lam.sum() + rng.uniform(0.0, 4.0 * d))
-            assert in_lambda_set(lam, m, t, nu(lam, m, t).nu)
+            for alpha in (1.0, 1e5, 1e10):
+                assert in_lambda_set(alpha * lam, m, alpha * t, nu(alpha * lam, m, alpha * t).nu)
 
 
 class TestSampler:
