@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_linalg import HermitianPSD, psd_rank
-from .errors import DomainError, Infeasible, RankDeficient
+from .errors import Infeasible, RankDeficient
 from .frames import Frame, frame_operator, frame_to_json
 from .majorization import PotentialKind, SpectrumVec, trace_f
 from .schur_horn import _chain, _factor, _reachable
@@ -132,13 +132,15 @@ def lower_bound(nu_spectrum, kind: PotentialKind) -> float:
 
 
 def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
-    """Frame-potential and mean-square-error bounds; MSE is inf when singular."""
-    bounds = {"fp": lower_bound(nu_spectrum, PotentialKind.FRAME_POTENTIAL)}
-    try:
-        bounds["mse"] = lower_bound(nu_spectrum, PotentialKind.MEAN_SQUARE_ERROR)
-    except DomainError:
-        bounds["mse"] = math.inf
-    return bounds
+    """Frame-potential and mean-square-error bounds; MSE is inf when singular.
+
+    ``lower_bound`` of each kind, bit for bit, with MSE's DomainError read as inf.
+    """
+    v = np.asarray(getattr(nu_spectrum, "values", nu_spectrum), dtype=float).reshape(-1)
+    with np.errstate(over="ignore"):  # as trace_f: an overflowing sum is inf
+        fp = float(np.sum(v * v))
+        mse = math.inf if np.minimum.reduce(v) <= 0.0 else float(np.sum(1.0 / v))
+    return {"fp": fp, "mse": mse}
 
 
 def complete(problem: CompletionProblem) -> CompletionResult:
@@ -157,7 +159,10 @@ def complete(problem: CompletionProblem) -> CompletionResult:
         sigma = np.concatenate((values[top], np.zeros(problem.k - top.size)))  # = plan's padded
         s0 = frame_operator(problem.initial)
         added = _factor(s0.eigenvectors[:, top], sigma, _chain(sigma, problem.beta))
-        completed = Frame(np.hstack([problem.initial.synthesis, added]))
+        # No second finiteness test: F0 passed Frame's, and added = V sigma^1/2 U*
+        # (orthonormal V, orthogonal U, sum(sigma) <= t, which nu found finite)
+        # has no entry above sqrt(t).  Both parts are real, or both complex.
+        completed = Frame._trusted(np.hstack([problem.initial.synthesis, added]))
     return CompletionResult(
         feasible=completion_plan.feasible,
         nu=completion_plan.nu,

@@ -14,6 +14,8 @@ part (A + A*)/2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -110,9 +112,12 @@ class HermitianPSD:
     ``eigenvectors`` pair with it.  Real input matrices keep real storage.
     ``matrix`` is a read-only copy of the input, always taken, or for an
     object built from an eigensystem the Hermitian part of V diag(w) V*,
-    assembled on first access.  Every constructor applies one PSD test:
-    NotPositiveSemidefinite when the least eigenvalue is below -1e-10 times
-    the eigenvalues' norm; a smaller negative eigenvalue is clamped to 0.
+    assembled on first access.  Every constructor ends in ``_set``, which
+    tests the eigenvalues once: ValueError unless they are finite (and at
+    least one), NotPositiveSemidefinite when the least is below -1e-10
+    times their norm.  A smaller negative eigenvalue is clamped to 0, and
+    the sorted result is wrapped by ``SpectrumVec._trusted`` without a
+    second test.
     """
 
     __slots__ = ("_matrix", "eigenvalues", "eigenvectors")
@@ -127,14 +132,19 @@ class HermitianPSD:
         return cls.__new__(cls)._set(w[order], v[:, order])
 
     def _set(self, w, v, matrix=None) -> "HermitianPSD":
-        # every constructor's PSD test; _norm runs only when an eigenvalue is negative
-        if w.size and w[-1] < 0.0 and w[-1] < -PSD_TOL * _norm(w):
+        # Every constructor's spectrum test.  w is fresh from a stable
+        # argsort(-w), descending with any NaN last, so its two ends bound it.
+        if not (w.size and math.isfinite(w[0]) and math.isfinite(w[-1])):
+            raise ValueError("spectrum entries must be finite" if w.size else
+                             "spectrum must have at least one entry")
+        # _norm runs only when an eigenvalue is negative
+        if w[-1] < 0.0 and w[-1] < -PSD_TOL * _norm(w):
             raise NotPositiveSemidefinite(f"minimum eigenvalue {w[-1]:.3e} below tolerance")
         for arr in (v, matrix):
             if arr is not None:
                 arr.flags.writeable = False
         self._matrix = matrix  # None: assembled on first access
-        self.eigenvalues = SpectrumVec(np.maximum(w, 0.0))
+        self.eigenvalues = SpectrumVec._trusted(w)  # sorted and finite, as tested above
         self.eigenvectors = v
         return self
 

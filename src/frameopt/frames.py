@@ -36,6 +36,15 @@ class Frame:
         self._synthesis = mat
         self._operator = self._svd = None
 
+    @classmethod
+    def _trusted(cls, synthesis: np.ndarray) -> "Frame":
+        """Wrap a fresh, finite, nonempty d x n float or complex array: no copy, no test."""
+        synthesis.flags.writeable = False
+        self = cls.__new__(cls)
+        self._synthesis = synthesis
+        self._operator = self._svd = None
+        return self
+
     @property
     def d(self) -> int:
         return self._synthesis.shape[0]

@@ -1,8 +1,9 @@
 """Vector preorders (majorization, submajorization, entrywise) and tracial sums.
 
 All predicates work on plain 1-d real arrays; ``SpectrumVec`` is the
-validated container used wherever a vector is known to be an eigenvalue
-list (nonincreasing, nonnegative).
+container used wherever a vector is known to be an eigenvalue list
+(nonincreasing, nonnegative): validated when it comes from outside, trusted
+when the library has just made it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ class SpectrumVec:
     Order and sign are checked with a slack of DEFAULT_TOL * max|v|;
     entries within it below zero are clamped to zero, and genuinely
     negative or out-of-order input is rejected.  The input is copied.
+
+    ``SpectrumVec._trusted`` wraps a spectrum the library has just made
+    (``nu``'s assembled result, sorted ``eigh`` output) without these
+    tests: it only clamps to zero and marks the array read-only.
     """
 
     __slots__ = ("values",)
@@ -50,6 +55,20 @@ class SpectrumVec:
         np.maximum(v, 0.0, out=v)
         v.setflags(write=False)
         self.values = v
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "SpectrumVec":
+        """Wrap a fresh, finite, nonincreasing 1-d float array, clamped in place.
+
+        No copy and no finiteness, order or sign test: the caller vouches for
+        them.  The clamp stays, so a rounding residue such as a level of
+        -4e-19 reads as 0, as the validating constructor makes it.
+        """
+        np.maximum(values, 0.0, out=values)
+        values.setflags(write=False)
+        self = cls.__new__(cls)
+        self.values = values
+        return self
 
     @property
     def d(self) -> int:

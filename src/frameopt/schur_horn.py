@@ -14,13 +14,20 @@ import math
 import numpy as np
 
 from .core_linalg import HermitianPSD, _fix_phases, psd_rank
-from .errors import NotMajorized, RankTooLarge
+from .errors import DomainError, NotMajorized, RankTooLarge
 from .majorization import DEFAULT_TOL, majorizes, spectrum_values
 
 
 def _reachable(spectrum: np.ndarray, target) -> bool:
-    """Whether ``target`` is majorized by ``spectrum`` within DEFAULT_TOL * tr(spectrum)."""
-    return majorizes(spectrum, target, DEFAULT_TOL * float(np.add.reduce(spectrum)))
+    """Whether ``target`` is majorized by ``spectrum`` within DEFAULT_TOL * tr(spectrum).
+
+    DomainError when tr(spectrum) overflows: an infinite slack would accept any target.
+    """
+    with np.errstate(over="ignore"):
+        trace = float(np.add.reduce(spectrum))
+    if trace == math.inf:
+        raise DomainError("spectrum trace overflows")
+    return majorizes(spectrum, target, DEFAULT_TOL * trace)
 
 
 def rotation_chain(spectrum, target):
@@ -83,9 +90,13 @@ def _chain(lam: np.ndarray, tgt: np.ndarray):
     return rotations, np.array(rows)
 
 
-def _unitary(rotations, rows) -> np.ndarray:
-    """The rotations applied to the identity, rows reordered by ``rows``."""
-    u = np.eye(rows.size)
+def _unitary(rotations, rows, cols: int | None = None) -> np.ndarray:
+    """The rotations applied to the identity, rows reordered by ``rows``.
+
+    With ``cols``, only the identity's first ``cols`` columns: a rotation
+    mixes rows, so these come out bit for bit as in the full matrix.
+    """
+    u = np.eye(rows.size, cols)
     # givens_left's arithmetic in place on row views: c and s are real, so
     # rows i, j become [c, s; -s, c] times them, rounded the same way
     for i, j, c, s in rotations:
@@ -106,8 +117,9 @@ def unitary_for_diagonal(spectrum, target) -> np.ndarray:
 
 def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
     """V diag(sigma)^1/2 U*, phase-fixed, with U from ``chain`` planned on sigma (padded to k)."""
-    u = _unitary(*chain)[:, : vectors.shape[1]]
-    return _fix_phases((vectors * np.sqrt(sigma[: u.shape[1]])) @ u.conj().T)
+    p = vectors.shape[1]
+    u = _unitary(*chain, p)
+    return _fix_phases((vectors * np.sqrt(sigma[:p])) @ u.conj().T)
 
 
 def realize_frame(b: HermitianPSD, beta) -> np.ndarray:

@@ -14,7 +14,8 @@ entries of ``lam`` survive unchanged.  One private kernel, ``_waterfill``,
 computes the cutoff ``r`` and the level ``c`` for a batch of B traces, with
 its tests laid out (B, d), one row per trace: the scalar ``nu`` runs the same
 code on one contiguous row.  Every public function validates its inputs once
-(spectrum, ``m``, trace) and then calls it.  ``irregularity`` and
+(spectrum, ``m``, trace) and then calls it; ``nu`` wraps the spectrum it
+assembles by ``SpectrumVec._trusted``, with no second test.  ``irregularity`` and
 ``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
 the trace thresholds where the rank bound starts to bite and where the level
 passes the top of the spectrum.  The slack of the solvers and of the
@@ -24,6 +25,7 @@ membership test ``in_lambda_set`` is DEFAULT_TOL times the trace.
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -221,13 +223,19 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
             unique = float(values[m - 1]) - float(values[m]) > tie or t <= sst + tie
     r_arr, c_arr = _waterfill(values, m, np.array([t]), sst)
     r, c = int(r_arr[0]), float(c_arr[0])
+    if not math.isfinite(c):  # a NaN or infinite t, or a level past the float range
+        raise ValueError(f"spectrum entries must be finite: level c = {c} at t = {t}")
     kept = max(r, m)
     capped = r + d - kept  # the entries lam[r:kept] close the spectrum from here
     raised = np.empty(d)
     raised[:r] = values[:r]
     raised[r:capped] = c
     raised[capped:] = values[r:kept]
-    spectrum = SpectrumVec(raised)
+    # Trusted: raised holds validated entries of lam and the finite level c,
+    # in order, since the cutoff rule leaves lam_1..lam_r above c and the
+    # rest at most TIE_TOL * t above it; a c below 0 is rounding residue
+    # (about -4e-19 at t = tr(lam) with a zero tail), which the clamp zeroes.
+    spectrum = SpectrumVec._trusted(raised)
     if abs(spectrum.trace() - t) > DEFAULT_TOL * t:
         if c < np.finfo(float).tiny:
             raise BadTrace(f"trace target {t} underflows the level c = {c}")

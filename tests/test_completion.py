@@ -13,7 +13,8 @@ from frameopt import (
     optimal_B,
     plan,
 )
-from frameopt.errors import Infeasible, RankDeficient
+from frameopt.completion import lower_bounds
+from frameopt.errors import DomainError, Infeasible, RankDeficient
 
 from conftest import (
     EJ1_SYNTHESIS,
@@ -285,6 +286,40 @@ def test_one_eigensolve_per_completion(monkeypatch, cplx):
     assert res.feasible and res.added.shape == (5, 3)
     assert len(eigh) == 1
     assert len(majorizes) == 1
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_no_spectrum_validation_per_completion(monkeypatch, cplx):
+    # S_F0's sorted eigenvalues and nu's result are built trusted
+    synthesis = EJ1_SYNTHESIS * (1.0 + 1j) if cplx else EJ1_SYNTHESIS
+    built = count_calls(monkeypatch, fo.SpectrumVec, "__init__")
+    res = complete(CompletionProblem(Frame(synthesis), [1.0, 1.0, 1.0]))
+    assert res.feasible and len(built) == 0
+
+
+def _bounds_cases():
+    big = np.sqrt(np.finfo(float).max)
+    tiny = np.finfo(float).tiny
+    yield [4.0, 2.0, 0.0, 0.0]  # zero tail
+    yield [1.0, 0.0, 1e-12]  # a zero before a positive entry, within the order slack
+    yield [3.0, 2.0, 1.0]
+    yield [1e-300, tiny, tiny / 4.0, 5e-324]  # subnormal entries: 1/x overflows
+    yield [tiny / 2.0, 0.0]
+    yield [big, big]  # x^2 overflows
+    yield [np.nextafter(big, 0.0), 1.0]  # the largest whose square is finite
+    yield [1.5 * big, big / 2.0, 1e-200]
+
+
+def test_lower_bounds_match_lower_bound_of_each_kind():
+    for values in _bounds_cases():
+        spectrum = fo.SpectrumVec(values)
+        try:
+            mse = lower_bound(spectrum, PotentialKind.MEAN_SQUARE_ERROR)
+        except DomainError:
+            mse = np.inf
+        ref = {"fp": lower_bound(spectrum, PotentialKind.FRAME_POTENTIAL), "mse": mse}
+        got = lower_bounds(spectrum)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref.items()}
 
 
 def _path_cases(rng):

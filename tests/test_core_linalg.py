@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,22 @@ class TestHermitianPSD:
         # rounding residue below zero is clamped, as for a matrix input
         op = HermitianPSD.from_eigensystem([-1e-20, 2.0], np.eye(2))
         assert op.eigenvalues.values.tolist() == [2.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_eigensystem_rejects_non_finite_eigenvalues(self, bad):
+        # the spectrum is trusted past _set's test of its sorted ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in ([bad, 1.0], [1.0, bad]):
+                with pytest.raises(ValueError, match="must be finite"):
+                    HermitianPSD.from_eigensystem(values, np.eye(2))
+
+    def test_eigenvalue_past_the_float_range_is_rejected(self):
+        # finite entries whose eigenvalue 2e308 overflows in eigh
+        with pytest.raises(ValueError, match="must be finite"):
+            HermitianPSD(np.full((2, 2), 1e308))
+        with pytest.raises(ValueError, match="at least one entry"):
+            HermitianPSD.from_eigensystem([], np.eye(0))
 
     def test_from_eigensystem_matches(self, rng):
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

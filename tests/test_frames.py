@@ -85,6 +85,19 @@ class TestFrameBounds:
         # potential reads sigma^2 too: past the float range it is inf, with no warning
         assert potential(Frame(1e200 * a), PotentialKind.FRAME_POTENTIAL) == np.inf
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_inverse_operator_at_the_subnormal_gate(self, cplx):
+        # its spectrum is trusted: the gate sigma_d^2 >= tiny keeps 1/sigma^2 finite
+        root = np.sqrt(np.finfo(float).tiny)
+        phase = 1j if cplx else 1.0
+        for factor in (1.0, 1.5, 3.0):
+            s = factor * root * np.array([2.0, 1.0])
+            sinv = fo.inverse_operator(Frame(phase * np.diag(s)))
+            w = sinv.eigenvalues.values
+            assert np.isfinite(w).all() and w.tolist() == (1.0 / s[::-1] ** 2).tolist()
+        with pytest.raises(SingularFrameOperator, match="subnormal"):
+            fo.inverse_operator(Frame(phase * np.diag(0.5 * root * np.array([2.0, 1.0]))))
+
     def test_long_frame(self):
         # n >> d: every reader costs O(n d^2), with no n x n factor
         t = np.random.default_rng(8).standard_normal((2, 20000)) / 100.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from frameopt import (
     rotation_chain,
     unitary_for_diagonal,
 )
-from frameopt.errors import LengthMismatch, NotMajorized, RankTooLarge
+from frameopt.errors import DomainError, LengthMismatch, NotMajorized, RankTooLarge
 
 from conftest import mixed_toward_average, random_psd
 
@@ -174,6 +176,10 @@ def test_unitary_matches_a_chain_of_givens_left(rng):
             for i, j, c, s in rotations:
                 ref = fo.givens_left(ref, i, j, c, s)
             assert np.array_equal(unitary_for_diagonal(lam, target), ref[rows, :])
+            # _factor's k x p block: the first p columns, bit for bit
+            for p in {1, (k + 1) // 2, k}:
+                block = fo.schur_horn._unitary(rotations, rows, p)
+                assert np.array_equal(block, ref[rows, :p])
 
 
 def test_norms_of_any_family_are_majorized_by_operator_spectrum(rng):
@@ -243,3 +249,16 @@ def test_rotation_chain_golden(name):
     rotations, got_rows = rotation_chain(lam, target)
     assert [(i, j, c.hex(), s.hex()) for i, j, c, s in rotations] == chain
     assert got_rows.tolist() == rows
+
+
+def test_overflowing_spectrum_trace_raises_without_warning():
+    # tr = 2e308 is inf: a slack of DEFAULT_TOL * inf would accept any target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            rotation_chain([1e308, 1e308], [0.0, 0.0])
+        with pytest.raises(DomainError, match="overflows"):
+            unitary_for_diagonal([1e308, 1e308], [1e308, 1e308])
+        b = HermitianPSD.from_eigensystem([1e308, 1e308], np.eye(2))
+        with pytest.raises(DomainError, match="overflows"):
+            realize_frame(b, [1.0, 1.0])

@@ -214,7 +214,7 @@ class TestNu:
     @pytest.mark.parametrize("m", [-1, 0, 1, 3])
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_trace_raises_without_warning(self, m, t):
-        # the output SpectrumVec is what rejects a level computed from t
+        # nu rejects the non-finite level c computed from t
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
@@ -343,7 +343,8 @@ def test_batched_kernel_equals_scalar_nu(lam):
 
 
 def test_nu_validates_each_spectrum_once(monkeypatch):
-    # one SpectrumVec for the input (none if it already is one), one for nu
+    # one validated SpectrumVec for the input, none if it already is one;
+    # nu's own result is built by the trusted constructor
     built = []
     init = fo.SpectrumVec.__init__
 
@@ -354,7 +355,7 @@ def test_nu_validates_each_spectrum_once(monkeypatch):
     monkeypatch.setattr(fo.SpectrumVec, "__init__", counting_init)
     lam = np.array(LAM_B)
     for m, t in [(-1, 19.0), (0, 40.0), (2, 19.0), (2, 22.0), (2, 30.0), (4, 60.0)]:
-        for given, expected in ((lam, 2), (LAM_B, 2), (fo.SpectrumVec(lam), 1)):
+        for given, expected in ((lam, 1), (LAM_B, 1), (fo.SpectrumVec(lam), 0)):
             built.clear()
             nu(given, m, t)
             assert len(built) == expected
