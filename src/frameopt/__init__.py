@@ -18,13 +18,7 @@ from .completion import (
     optimal_B,
     plan,
 )
-from .core_linalg import (
-    HermitianPSD,
-    eig_hermitian,
-    givens_left,
-    null_space_onb,
-    psd_rank,
-)
+from .core_linalg import HermitianPSD, eig_hermitian, psd_rank
 from .duals import (
     DualProblem,
     DualResult,
@@ -66,7 +60,6 @@ from .spectra import (
     irregularity,
     minimizer_is_unique,
     nu,
-    p_lambda,
     r_lambda_m,
     s_star,
     s_star_star,
@@ -102,7 +95,6 @@ __all__ = [
     "frame_from_json",
     "frame_operator",
     "frame_to_json",
-    "givens_left",
     "in_lambda_set",
     "inverse_operator",
     "irregularity",
@@ -111,11 +103,9 @@ __all__ = [
     "majorizes",
     "minimizer_is_unique",
     "nu",
-    "null_space_onb",
     "optimal_B",
     "optimal_dual",
     "optimal_dual_spectrum",
-    "p_lambda",
     "parseval_dual_exists",
     "plan",
     "potential",

@@ -21,7 +21,7 @@ from .core_linalg import HermitianPSD, psd_rank
 from .errors import Infeasible, RankDeficient
 from .frames import Frame, frame_operator, frame_to_json
 from .majorization import PotentialKind, SpectrumVec, trace_f
-from .schur_horn import _chain, _factor, _reachable
+from .schur_horn import _chain, _factor, _leading, _reachable
 from .spectra import NuBreakdown, nu
 
 
@@ -94,7 +94,7 @@ def plan(problem: CompletionProblem) -> CompletionPlan:
     breakdown = nu(lam, m, t)
     mu_hat = breakdown.increment
     padded = np.zeros(k)  # mu_hat.size = d - kept <= d - m = k
-    padded[: mu_hat.size] = mu_hat[::-1]  # nonincreasing: complete's sigma, bit for bit
+    padded[: mu_hat.size] = mu_hat[::-1]  # nonincreasing: _leading(B, k)'s sigma, bit for bit
     return CompletionPlan(
         r_hat=breakdown.kept,
         c_hat=breakdown.c,
@@ -146,19 +146,16 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
 def complete(problem: CompletionProblem) -> CompletionResult:
     """Solve the completion problem; infeasibility is a result, not an error.
 
-    Adds ``realize_frame(optimal_B(S_F0, plan), beta)`` bit for bit without its
-    checks: rank(B) <= d - r_hat <= k, and ``plan`` asked ``_reachable`` of this sigma.
+    Adds ``realize_frame(optimal_B(S_F0, plan), beta)`` without its checks:
+    rank(B) <= d - r_hat <= k, and ``plan`` asked ``_reachable`` of this sigma.
     """
     completion_plan = plan(problem)
     bounds = lower_bounds(completion_plan.nu)
     added = completed = None
     if completion_plan.feasible:
-        values = np.zeros(problem.d)
-        values[completion_plan.r_hat :] = completion_plan.mu_hat  # >= 0
-        top = np.argsort(-values, kind="stable")[: problem.k]  # as optimal_B's _trusted
-        sigma = np.concatenate((values[top], np.zeros(problem.k - top.size)))  # = plan's padded
-        s0 = frame_operator(problem.initial)
-        added = _factor(s0.eigenvectors[:, top], sigma, _chain(sigma, problem.beta))
+        b = optimal_B(frame_operator(problem.initial), completion_plan)
+        vectors, sigma = _leading(b, problem.k)
+        added = _factor(vectors, sigma, _chain(sigma, problem.beta))
         # No second finiteness test: F0 passed Frame's, and added = V sigma^1/2 U*
         # (orthonormal V, orthogonal U, sum(sigma) <= t, which nu found finite)
         # has no entry above sqrt(t).  Both parts are real, or both complex.

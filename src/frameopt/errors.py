@@ -29,14 +29,6 @@ class RankDeficient(FrameOptError):
     """A matrix does not have the rank required by the operation."""
 
 
-class IndexOutOfRange(FrameOptError):
-    """Row/column index outside the valid range."""
-
-
-class BadIndex(FrameOptError):
-    """Spectral index r outside [0, d-1]."""
-
-
 class BadTrace(FrameOptError):
     """Trace target t below the trace of the base spectrum."""
 

@@ -9,6 +9,8 @@ sigma^2 from one cached SVD T = U diag(sigma) V*; the completion side and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core_linalg import HermitianPSD, _eigh, _fix_phases
@@ -139,15 +141,21 @@ def inverse_operator(frame: Frame) -> HermitianPSD:
 def canonical_dual(frame: Frame) -> Frame:
     """Frame whose vectors are S^{-1} f_i, with synthesis U diag(1/sigma) V_1*."""
     u, s, vh = _inverse_svd(frame, "canonical dual")
-    return Frame((u / s) @ vh[: frame.d])
+    return Frame._trusted((u / s) @ vh[: frame.d])  # finite: the gate keeps sigma_d^2 >= tiny
 
 
 def duality_residual(frame: Frame, other: Frame) -> float:
-    """Frobenius distance of synthesis(other) @ analysis(frame) from identity."""
+    """Frobenius distance of synthesis(other) @ analysis(frame) from identity.
+
+    inf when the product or the distance is past the float range.
+    """
     if frame.d != other.d or frame.n != other.n:
         raise ShapeMismatch("frames must share the same (d, n)")
-    prod = other.synthesis @ frame.analysis
-    return float(np.linalg.norm(prod - np.eye(frame.d)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the product is nan
+        prod = other.synthesis @ frame.analysis
+        if not np.isfinite(prod).all():
+            return math.inf
+        return float(np.linalg.norm(prod - np.eye(frame.d)))
 
 
 def is_dual(frame: Frame, other: Frame, tol: float = GATE_TOL) -> bool:

@@ -97,8 +97,8 @@ def _unitary(rotations, rows, cols: int | None = None) -> np.ndarray:
     mixes rows, so these come out bit for bit as in the full matrix.
     """
     u = np.eye(rows.size, cols)
-    # givens_left's arithmetic in place on row views: c and s are real, so
-    # rows i, j become [c, s; -s, c] times them, rounded the same way
+    # in place on row views: c and s are real, so rows i, j become
+    # [c, s; -s, c] times them
     for i, j, c, s in rotations:
         ri, rj = u[i], u[j]
         t = s * ri
@@ -122,6 +122,15 @@ def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
     return _fix_phases((vectors * np.sqrt(sigma[:p])) @ u.conj().T)
 
 
+def _leading(b: HermitianPSD, k: int):
+    """B's top min(dim B, k) eigenvectors, and its spectrum padded with zeros
+    (or cut) to length k: the step both ``realize_frame`` and ``complete`` take."""
+    p = min(b.dim, k)
+    sigma = np.zeros(k)
+    sigma[:p] = b.eigenvalues.values[:p]
+    return b.eigenvectors[:, :p], sigma
+
+
 def realize_frame(b: HermitianPSD, beta) -> np.ndarray:
     """Vectors g_1..g_k with frame operator ``b`` and squared norms ``beta``.
 
@@ -134,11 +143,8 @@ def realize_frame(b: HermitianPSD, beta) -> np.ndarray:
     k = beta.size
     if k == 0 or np.any(beta <= 0.0):
         raise ValueError("squared norms must be strictly positive")
-    w = b.eigenvalues.values
-    rank = psd_rank(w)
+    rank = psd_rank(b.eigenvalues)
     if rank > k:
         raise RankTooLarge(f"rank {rank} operator cannot be carried by {k} vectors")
-    p = min(b.dim, k)
-    sigma = np.zeros(k)
-    sigma[:p] = w[:p]
-    return _factor(b.eigenvectors[:, :p], sigma, rotation_chain(sigma, beta))
+    vectors, sigma = _leading(b, k)
+    return _factor(vectors, sigma, rotation_chain(sigma, beta))

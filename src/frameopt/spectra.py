@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadIndex, BadM, BadTrace, LengthMismatch
+from .errors import BadM, BadTrace, LengthMismatch
 from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec, spectrum_values
 
 
@@ -147,18 +147,11 @@ def _shaped_like(x: np.ndarray, t, scalar):
     return x.reshape(np.shape(t))
 
 
-def p_lambda(lam, r: int, t) -> float:
-    """Average mass left for the last d - r slots after keeping lam_1..lam_r."""
-    values = spectrum_values(lam)
-    d = values.size
-    if not isinstance(r, (int, np.integer)) or not (0 <= r <= d - 1):
-        raise BadIndex(f"r must be an integer in [0, {d - 1}]")
-    head = float(values[:r].sum())
-    return (np.asarray(t, dtype=float) - head) / (d - r)
-
-
 def irregularity(lam, t):
-    """Smallest r such that the waterfilling level p(r, t) clears lam_{r+1}.
+    """Smallest r such that the level p(r, t) clears lam_{r+1}.
+
+    p(r, t) = (t - lam_1 - ... - lam_r) / (d - r) is the average mass left
+    for the last d - r slots.
 
     Equals 0 once t >= d * lam_1.  Accepts a scalar trace or an array of
     traces (an array comes back for an array).

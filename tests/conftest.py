@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import frameopt as fo
+from frameopt.errors import RankDeficient
 
 # 7 vectors in R^5; frame-operator spectrum (9, 5, 4, 2, 1) to ~5e-3.
 EJ1_SYNTHESIS = np.array(
@@ -79,6 +80,41 @@ def frame_with_spectrum(rng, sigma, n, cplx=False):
     v = random_unitary(rng, d, cplx)
     rows = random_unitary(rng, n, cplx)[:d, :]
     return fo.Frame((v * np.sqrt(sigma)) @ rows)
+
+
+def fix_phases_loop(v):
+    """Copy of v with each column's first entry above 1e-8 * its norm made real positive."""
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        thresh = 1e-8 * float(np.linalg.norm(col))
+        nz = np.flatnonzero(np.abs(col) > thresh)
+        if nz.size == 0:
+            continue
+        pivot = col[nz[0]]
+        if np.iscomplexobj(v):
+            v[:, j] = col * (np.conj(pivot) / abs(pivot))
+            v[nz[0], j] = abs(pivot)
+        elif pivot < 0.0:
+            v[:, j] = -col
+    return v
+
+
+def null_space_onb(m):
+    """Orthonormal basis of the kernel of a full-row-rank d x n matrix, for checking duals.
+
+    The trailing n - d right singular vectors of one full SVD, phase-fixed
+    column by column.  RankDeficient unless the d-th singular value exceeds
+    1e-8 times the largest.
+    """
+    arr = np.asarray(m)
+    if arr.ndim != 2:
+        raise RankDeficient("expected a matrix")
+    d, n = arr.shape
+    _, sigma, vh = np.linalg.svd(arr)
+    if d == 0 or d > n or sigma[d - 1] <= 1e-8 * sigma[0]:
+        raise RankDeficient("matrix does not have full row rank")
+    return fix_phases_loop(vh[d:].conj().T)
 
 
 def count_calls(monkeypatch, owner, name):

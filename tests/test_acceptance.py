@@ -21,6 +21,7 @@ from conftest import (
     EJ1_SYNTHESIS,
     frame_with_spectrum,
     mixed_toward_average,
+    null_space_onb,
     random_psd,
     random_unitary,
     spread_away_from,
@@ -165,7 +166,7 @@ def test_criterion_06_optimality_against_random_rivals():
         res = fo.optimal_dual(DualProblem(dual_frame, t))
         best_fp = fo.potential(res.dual, fp)
         best_mse = fo.potential(res.dual, mse)
-        kernel = fo.null_space_onb(dual_frame.synthesis)
+        kernel = null_space_onb(dual_frame.synthesis)
         t0 = fo.inverse_operator(dual_frame).trace()
         dual_analysis = fo.canonical_dual(dual_frame).analysis
         for _ in range(1000):

@@ -252,6 +252,13 @@ class TestCheckDual:
         code, out, _ = run(capsys, "check-dual", "--frame", str(path), "--dual", str(path))
         assert code == 0
         assert json.loads(out)["is_dual"] is False
+        # 1 x 1 frames whose product is inf - inf: still valid JSON, residual "inf"
+        for name, im in (("f.json", -1e200), ("w.json", 1e200)):
+            (tmp_path / name).write_text(json.dumps({"d": 1, "n": 1, "vectors": [[[1e200, im]]]}))
+        code, out, err = run(capsys, "check-dual", "--frame", str(tmp_path / "f.json"),
+                             "--dual", str(tmp_path / "w.json"))
+        assert code == 0 and not err
+        assert json.loads(out) == {"is_dual": False, "residual": "inf"}
 
 
 class TestPotential:

@@ -282,10 +282,13 @@ def test_one_eigensolve_per_completion(monkeypatch, cplx):
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     # plan asks Schur-Horn's own rule, which complete reuses without asking again
     majorizes = count_calls(monkeypatch, fo.schur_horn, "majorizes")
+    # B is built once, by optimal_B, and its eigenpairs factored as they are
+    builds_b = count_calls(monkeypatch, fo.completion, "optimal_B")
     res = complete(CompletionProblem(Frame(synthesis), [1.0, 1.0, 1.0]))
     assert res.feasible and res.added.shape == (5, 3)
     assert len(eigh) == 1
     assert len(majorizes) == 1
+    assert len(builds_b) == 1
 
 
 @pytest.mark.parametrize("cplx", [False, True])

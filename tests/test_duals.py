@@ -18,7 +18,7 @@ from frameopt import (
 )
 from frameopt.errors import BadTrace, InsufficientCorank, NotSpanning, SingularFrameOperator
 
-from conftest import DUAL_SYNTHESIS, count_calls, frame_with_spectrum
+from conftest import DUAL_SYNTHESIS, count_calls, frame_with_spectrum, null_space_onb
 
 NU_REF = [4.0, 19.0 / 6.0, 19.0 / 6.0, 19.0 / 6.0, 3.0]
 
@@ -134,7 +134,7 @@ def _random_dual(rng, frame, t=None, slack=1.0):
     With ``t`` given, the noise mass is scaled so the operator trace is
     exactly slack * (t - t0) above the canonical dual's.
     """
-    kernel = fo.null_space_onb(frame.synthesis)
+    kernel = null_space_onb(frame.synthesis)
     coeffs = rng.standard_normal((kernel.shape[1], frame.d))
     if np.iscomplexobj(frame.synthesis):
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)

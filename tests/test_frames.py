@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,20 @@ class TestIsDual:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             is_dual(Frame(np.eye(2)), Frame(np.eye(3)))
+
+    @pytest.mark.parametrize(
+        "frame, other",
+        [
+            ([[1e200 + 1e200j]], [[1e200 - 1e200j]]),  # complex product inf - inf
+            ([[1e200, 1e200]], [[1e200, -1e200]]),  # real sum inf - inf
+            ([[1e100]], [[1e100]]),  # finite product, its distance from I overflows
+        ],
+    )
+    def test_residual_past_the_float_range_is_inf(self, frame, other):
+        frame, other = Frame(np.array(frame)), Frame(np.array(other))
+        assert fo.duality_residual(frame, other) == math.inf
+        assert fo.duality_residual(other, frame) == math.inf
+        assert not is_dual(frame, other)
 
 
 class TestPotential:

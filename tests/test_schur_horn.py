@@ -164,8 +164,16 @@ def test_verdicts_follow_rescaling(rng, alpha):
                       alpha * np.array([2.5, 0.5]))
 
 
+def _givens_left(m, i, j, c, s):
+    # rows i, j of a copy of m become [c, s; -s, c] times them (c, s real)
+    out = m.copy()
+    out[i, :] = c * m[i, :] + s * m[j, :]
+    out[j, :] = -s * m[i, :] + c * m[j, :]
+    return out
+
+
 def test_unitary_matches_a_chain_of_givens_left(rng):
-    # the in-place rotations do givens_left's arithmetic: bitwise the same
+    # the in-place rotations do this plane rotation's arithmetic: bitwise the same
     for k in list(range(1, 9)) + [16, 31, 48]:
         for _ in range(3):
             lam = np.sort(rng.uniform(0.0, 2.0, k))[::-1] * 10.0 ** rng.uniform(-3, 3)
@@ -174,7 +182,7 @@ def test_unitary_matches_a_chain_of_givens_left(rng):
             rotations, rows = rotation_chain(lam, target)
             ref = np.eye(k)
             for i, j, c, s in rotations:
-                ref = fo.givens_left(ref, i, j, c, s)
+                ref = _givens_left(ref, i, j, c, s)
             assert np.array_equal(unitary_for_diagonal(lam, target), ref[rows, :])
             # _factor's k x p block: the first p columns, bit for bit
             for p in {1, (k + 1) // 2, k}:

@@ -12,38 +12,19 @@ from frameopt import (
     irregularity,
     minimizer_is_unique,
     nu,
-    p_lambda,
     r_lambda_m,
     s_star,
     s_star_star,
     sample_lambda_set,
     submajorizes,
 )
-from frameopt.errors import BadIndex, BadM, BadTrace, LengthMismatch
+from frameopt.errors import BadM, BadTrace, LengthMismatch
 
 from conftest import random_psd, random_spectrum, random_unitary
 
 LAM_A = [9.0, 5.0, 4.0, 2.0, 1.0]
 LAM_B = [7.0, 4.0, 4.0, 3.0, 1.0]
 LAM_DUAL = [4.0, 3.0, 1.5, 0.5, 0.4]
-
-
-class TestPLambda:
-    def test_reference_level(self):
-        assert p_lambda(LAM_A, 3, 23.75) == pytest.approx(2.875)
-
-    def test_r_zero_full_trace(self):
-        assert p_lambda(LAM_A, 0, 5 * 9.0) == pytest.approx(9.0)
-
-    def test_hand_value(self):
-        # (24 - 7) / 4
-        assert p_lambda(LAM_B, 1, 24.0) == pytest.approx(4.25)
-
-    def test_bad_index(self):
-        with pytest.raises(BadIndex):
-            p_lambda(LAM_A, 5, 25.0)
-        with pytest.raises(BadIndex):
-            p_lambda(LAM_A, -1, 25.0)
 
 
 class TestIrregularity:
@@ -79,6 +60,10 @@ class TestCLambda:
 
     def test_saturated_average(self):
         assert c_lambda(LAM_A, 45.0) == pytest.approx(9.0)
+
+    def test_hand_value(self):
+        # lam_1 = 7 survives: (24 - 7) / 4
+        assert c_lambda(LAM_B, 24.0) == pytest.approx(4.25)
 
 
 class TestSStar:
