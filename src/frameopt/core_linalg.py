@@ -1,13 +1,19 @@
-"""Dense complex-Hermitian kernels: eigensystems and PSD operators.
+"""Dense complex-Hermitian kernels: eigensystems, null spaces, rotations.
 
 Eigensystems come from one LAPACK ``eigh`` call (the completion side's
-S_F = T T*), followed by a canonicalization step: a stable descending sort
-and a fixed phase for every eigenvector, which the dual side also applies
-to the factors of the frame's own SVD.  Identical inputs therefore produce
-identical outputs on one machine; across BLAS/LAPACK builds the results
-agree to rounding, not bitwise.  Real symmetric input yields real output
-arrays.  Input equal to its adjoint bit for bit is used as is; any other
-is tested and replaced by its overflow-safe Hermitian part (A + A*)/2.
+S_F = T T*) and kernels from the trailing right singular vectors of one
+full SVD, each followed by a canonicalization step: a stable descending
+sort (eigenpairs) and a fixed phase for every column, which the dual side
+also applies to the factors of the frame's own SVD.  Identical inputs
+therefore produce identical outputs on one machine; across BLAS/LAPACK
+builds the results agree to rounding, not bitwise.  Real symmetric input
+yields real output arrays.  Input equal to its adjoint bit for bit is used
+as is; any other is tested and replaced by its overflow-safe Hermitian
+part (A + A*)/2.
+
+``givens_left`` and ``null_space_onb`` have no caller in the library.  They
+stay public only while the benchmark's tracer (``perfbench/tracer.py``)
+names them.
 """
 
 from __future__ import annotations
@@ -16,8 +22,13 @@ import math
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositiveSemidefinite
-from .majorization import GATE_TOL, PSD_TOL, SpectrumVec
+from .errors import (
+    IndexOutOfRange,
+    NotHermitian,
+    NotPositiveSemidefinite,
+    RankDeficient,
+)
+from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec
 
 
 def _check_square(a) -> np.ndarray:
@@ -185,3 +196,45 @@ def psd_rank(values) -> int:
     if w.size == 0:
         return 0
     return int(np.count_nonzero(w > PSD_TOL * float(w[0])))
+
+
+def givens_left(m, i: int, j: int, c, s) -> np.ndarray:
+    """Apply a plane rotation to rows i and j of ``m`` (returns a new array).
+
+    The 2x2 block is [[c, s], [-conj(s), conj(c)]], so |c|^2 + |s|^2 must
+    be 1.  Only rows i and j change; the Frobenius norm is preserved.
+    """
+    arr = np.asarray(m)
+    if arr.ndim != 2:
+        raise IndexOutOfRange("expected a matrix")
+    rows = arr.shape[0]
+    if not (0 <= i < rows) or not (0 <= j < rows) or i == j:
+        raise IndexOutOfRange(f"rows ({i}, {j}) invalid for {rows}-row matrix")
+    if abs(abs(c) ** 2 + abs(s) ** 2 - 1.0) > TIE_TOL:  # dimensionless
+        raise ValueError("rotation parameters must satisfy |c|^2 + |s|^2 = 1")
+    dtype = np.result_type(arr.dtype, type(c), type(s))
+    out = arr.astype(dtype, copy=True)
+    ri = out[i, :].copy()
+    out[i, :] = c * ri + s * out[j, :]
+    out[j, :] = -np.conj(s) * ri + np.conj(c) * out[j, :]
+    return out
+
+
+def null_space_onb(m) -> np.ndarray:
+    """Orthonormal basis of the kernel of a full-row-rank d x n matrix.
+
+    Returns an n x (n - d) matrix whose columns u satisfy m @ u = 0: the
+    trailing n - d right singular vectors of one full SVD m = U S V*, each
+    with its first significant entry made real positive.  Deterministic for
+    a given input on one machine.
+
+    Raises RankDeficient unless its d-th singular value exceeds 1e-8 times the largest.
+    """
+    arr = np.asarray(m)
+    if arr.ndim != 2:
+        raise RankDeficient("expected a matrix")
+    d, n = arr.shape
+    _, sigma, vh = np.linalg.svd(arr)  # min(d, n) singular values
+    if d == 0 or d > n or sigma[d - 1] <= GATE_TOL * sigma[0]:
+        raise RankDeficient("matrix does not have full row rank")
+    return _fix_phases(vh[d:].conj().T)

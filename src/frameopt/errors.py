@@ -29,6 +29,10 @@ class RankDeficient(FrameOptError):
     """A matrix does not have the rank required by the operation."""
 
 
+class IndexOutOfRange(FrameOptError):
+    """Row/column index outside the valid range."""
+
+
 class BadTrace(FrameOptError):
     """Trace target t below the trace of the base spectrum."""
 

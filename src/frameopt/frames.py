@@ -9,8 +9,6 @@ sigma^2 from one cached SVD T = U diag(sigma) V*; the completion side and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core_linalg import HermitianPSD, _eigh, _fix_phases
@@ -154,7 +152,7 @@ def duality_residual(frame: Frame, other: Frame) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the product is nan
         prod = other.synthesis @ frame.analysis
         if not np.isfinite(prod).all():
-            return math.inf
+            return np.inf
         return float(np.linalg.norm(prod - np.eye(frame.d)))
 
 

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from frameopt import Frame, HermitianPSD, eig_hermitian
-from frameopt.core_linalg import _fix_phases
-from frameopt.errors import NotHermitian, NotPositiveSemidefinite, RankDeficient
+from frameopt.core_linalg import _fix_phases, givens_left, null_space_onb
+from frameopt.errors import (
+    IndexOutOfRange,
+    NotHermitian,
+    NotPositiveSemidefinite,
+    RankDeficient,
+)
 
 from conftest import (
     DUAL_SYNTHESIS,
     EJ1_SYNTHESIS,
     fix_phases_loop,
-    null_space_onb,
     random_hermitian,
     random_psd,
 )
@@ -112,7 +116,7 @@ def test_fix_phases_matches_loop(rng, cplx):
         layouts = (
             unpivoted.copy,
             wide[:, 4:].copy,  # every column has a pivot
-            lambda: wide.copy()[:, 4:],  # strided column slice
+            lambda: wide.copy()[:, 4:],  # strided column slice, as null_space_onb passes
         )
         for make in layouts:
             v = make()
@@ -273,8 +277,50 @@ class TestHermitianPSD:
         assert np.allclose(op.matrix, np.diag([1.0, 3.0]))
 
 
+class TestGivensLeft:
+    def test_zero_rotation(self, rng):
+        m = rng.standard_normal((3, 4))
+        assert np.array_equal(givens_left(m, 0, 2, 1.0, 0.0), m)
+
+    def test_swap_rotation(self):
+        m = np.eye(2)
+        out = givens_left(m, 0, 1, 0.0, 1.0)
+        assert np.allclose(out, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_norm_preserved(self, rng):
+        # oracle: unitary row mixing cannot change the Frobenius norm
+        for _ in range(25):
+            m = rng.standard_normal((3, 3))
+            angle = rng.uniform(0.0, 2 * np.pi)
+            out = givens_left(m, 1, 2, np.cos(angle), np.sin(angle))
+            assert abs(np.linalg.norm(out) - np.linalg.norm(m)) <= 1e-12 * (
+                1.0 + np.linalg.norm(m)
+            )
+            others = [i for i in range(3) if i not in (1, 2)]
+            assert np.array_equal(out[others], m[others])
+
+    def test_complex_parameters(self, rng):
+        m = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        c = np.sqrt(0.5)
+        s = np.sqrt(0.5) * np.exp(1j * 0.3)
+        out = givens_left(m, 0, 3, c, s)
+        assert abs(np.linalg.norm(out) - np.linalg.norm(m)) <= 1e-12 * (
+            1.0 + np.linalg.norm(m)
+        )
+
+    def test_bad_indices(self):
+        m = np.zeros((2, 2))
+        with pytest.raises(IndexOutOfRange):
+            givens_left(m, 0, 0, 1.0, 0.0)
+        with pytest.raises(IndexOutOfRange):
+            givens_left(m, 0, 5, 1.0, 0.0)
+
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError):
+            givens_left(np.zeros((2, 2)), 0, 1, 1.0, 1.0)
+
+
 class TestNullSpace:
-    # the tests' own kernel checker (conftest), which grades the duals
     def test_two_by_three(self):
         m = np.hstack([np.eye(2), np.zeros((2, 1))])
         basis = null_space_onb(m)
