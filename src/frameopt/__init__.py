@@ -14,7 +14,6 @@ from .completion import (
     CompletionResult,
     complete,
     completion_to_json,
-    lower_bound,
     optimal_B,
     plan,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "inverse_operator",
     "irregularity",
     "is_dual",
-    "lower_bound",
     "majorizes",
     "minimizer_is_unique",
     "nu",

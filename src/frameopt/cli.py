@@ -179,13 +179,13 @@ def _cmd_check_dual(args) -> int:
     frame = _load_frame(args.frame)
     other = _load_frame(args.dual)
     residual = duality_residual(frame, other)
-    _print({"is_dual": bool(residual <= args.tol), "residual": residual})
+    _print({"is_dual": bool(residual <= GATE_TOL), "residual": residual})
     return EXIT_OK
 
 
 def _cmd_potential(args) -> int:
     frame = _load_frame(args.frame)
-    kind = PotentialKind.from_name(args.kind)
+    kind = PotentialKind(args.kind)
     value = potential(frame, kind)
     sys.stdout.write(_fmt_number(value) + "\n")
     return EXIT_OK
@@ -223,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check-dual", help="test whether two frames are dual")
     p_check.add_argument("--frame", required=True)
     p_check.add_argument("--dual", required=True)
-    p_check.add_argument("--tol", type=float, default=GATE_TOL,
-                         help="absolute bound on the duality residual (default %(default)s)")
     p_check.set_defaults(handler=_cmd_check_dual)
 
     p_pot = sub.add_parser("potential", help="convex potential of a frame")

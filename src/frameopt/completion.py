@@ -20,7 +20,7 @@ import numpy as np
 from .core_linalg import HermitianPSD, psd_rank
 from .errors import Infeasible, RankDeficient
 from .frames import Frame, frame_operator, frame_to_json
-from .majorization import PotentialKind, SpectrumVec, trace_f
+from .majorization import SpectrumVec
 from .schur_horn import _chain, _factor, _leading, _reachable
 from .spectra import NuBreakdown, nu
 
@@ -122,19 +122,12 @@ def optimal_B(s0: HermitianPSD, completion_plan: CompletionPlan) -> HermitianPSD
     return HermitianPSD._trusted(values, s0.eigenvectors)
 
 
-def lower_bound(nu_spectrum, kind: PotentialKind) -> float:
-    """Potential value of the minimal spectrum: a bound every completion obeys.
-
-    Attained exactly when the problem is feasible and the completed frame
-    realizes the minimal spectrum.
-    """
-    return trace_f(nu_spectrum, kind)
-
-
 def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
-    """Frame-potential and mean-square-error bounds; MSE is inf when singular.
+    """Frame-potential and mean-square-error values of the minimal spectrum.
 
-    ``lower_bound`` of each kind, bit for bit, with MSE's DomainError read as inf.
+    Every completion's potential is at least these, with equality when the
+    problem is feasible.  ``trace_f`` of each kind, bit for bit, with MSE's
+    DomainError read as inf (a singular spectrum).
     """
     v = np.asarray(getattr(nu_spectrum, "values", nu_spectrum), dtype=float).reshape(-1)
     with np.errstate(over="ignore"):  # as trace_f: an overflowing sum is inf

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core_linalg import HermitianPSD, _fix_phases
 from .errors import InsufficientCorank
-from .frames import Frame, _operator_svd, _svd, frame_to_json, inverse_operator
+from .frames import Frame, _operator_svd, _svd, canonical_dual, frame_to_json, inverse_operator
 from .majorization import DEFAULT_TOL, SpectrumVec
 from .spectra import NuBreakdown, nu
 
@@ -72,11 +72,11 @@ def optimal_dual(problem: DualProblem) -> DualResult:
     """
     d = problem.frame.d
     sinv, breakdown = _solve_spectrum(problem)
-    u, s, vh = _svd(problem.frame)  # which inverse_operator has gated
     lam, h, kept = sinv.eigenvalues, sinv.eigenvectors, breakdown.kept
     q = d - kept
-    synthesis = (u / s) @ vh[:d]  # the canonical dual
+    synthesis = canonical_dual(problem.frame).synthesis
     if q > 0:
+        vh = _svd(problem.frame)[2]  # the SVD canonical_dual read
         kernel = _fix_phases(vh[d : d + q].conj().T.copy())  # the u_i
         synthesis = synthesis + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel.conj().T
     operator = HermitianPSD._trusted(

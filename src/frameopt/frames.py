@@ -156,9 +156,9 @@ def duality_residual(frame: Frame, other: Frame) -> float:
         return float(np.linalg.norm(prod - np.eye(frame.d)))
 
 
-def is_dual(frame: Frame, other: Frame, tol: float = GATE_TOL) -> bool:
-    """Whether ``other`` reconstructs with ``frame``: sum g_i f_i* = identity within tol."""
-    return duality_residual(frame, other) <= tol
+def is_dual(frame: Frame, other: Frame) -> bool:
+    """Whether ``other`` reconstructs with ``frame``: ``duality_residual`` <= GATE_TOL."""
+    return duality_residual(frame, other) <= GATE_TOL
 
 
 def potential(frame: Frame, kind: PotentialKind) -> float:

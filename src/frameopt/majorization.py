@@ -70,28 +70,8 @@ class SpectrumVec:
         self.values = values
         return self
 
-    @property
-    def d(self) -> int:
-        return self.values.size
-
     def trace(self) -> float:
         return float(np.add.reduce(self.values))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectrumVec):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.all(self.values == other.values)
-        )
 
     def __repr__(self) -> str:
         return f"SpectrumVec({self.values.tolist()!r})"
@@ -110,10 +90,6 @@ class PotentialKind(enum.Enum):
     FRAME_POTENTIAL = "fp"  # x^2
     MEAN_SQUARE_ERROR = "mse"  # 1/x, needs x > 0
     NEG_ENTROPY = "xlogx"  # x log x, with 0 log 0 := 0
-
-    @classmethod
-    def from_name(cls, name: str) -> "PotentialKind":
-        return cls(name)
 
 
 def sort_desc(x) -> np.ndarray:

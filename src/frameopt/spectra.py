@@ -214,7 +214,9 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
             regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
             tie = DEFAULT_TOL * float(values[0])  # past s*, a tie at lam_m lets B rotate
             unique = float(values[m - 1]) - float(values[m]) > tie or t <= sst + tie
-    r_arr, c_arr = _waterfill(values, m, np.array([t]), sst)
+    # At or below s* the rank bound does not bite: the m = 0 search gives r and c at once.
+    bites = regime is not Regime.AT_OR_BELOW_S_STAR
+    r_arr, c_arr = _waterfill(values, m if bites else 0, np.array([t]), sst)
     r, c = int(r_arr[0]), float(c_arr[0])
     if not math.isfinite(c):  # a NaN or infinite t, or a level past the float range
         raise ValueError(f"spectrum entries must be finite: level c = {c} at t = {t}")

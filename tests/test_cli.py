@@ -166,13 +166,11 @@ class TestDual:
         # the emitted dual passes check-dual against the original frame
         wpath = tmp_path / "w.json"
         wpath.write_text(json.dumps(obj["W"]))
-        code2, out2, _ = run(
-            capsys, "check-dual", "--frame", dual_path, "--dual", str(wpath), "--tol", "1e-6"
-        )
+        code2, out2, _ = run(capsys, "check-dual", "--frame", dual_path, "--dual", str(wpath))
         assert code2 == 0
         verdict = json.loads(out2)
         assert verdict["is_dual"] is True
-        assert verdict["residual"] <= 1e-6
+        assert verdict["residual"] <= 1e-8
 
     def test_low_trace_exit(self, capsys, dual_path):
         code, _, err = run(capsys, "dual", "--frame", dual_path, "--t", "2.0")
@@ -359,10 +357,11 @@ class TestInputHandling:
             ["complete", "--frame", "{ej1}", "--beta", "3,2.5"],
             ["feasible", "--frame", "{ej1}", "--beta", "3,2.5"],
             ["dual", "--frame", "{dual}", "--t", "16.5"],
+            ["check-dual", "--frame", "{dual}", "--dual", "{dual}"],
         ],
     )
-    def test_solvers_take_no_tol(self, capsys, ej1_path, dual_path, argv):
-        # the solvers' slack is DEFAULT_TOL; only check-dual takes --tol
+    def test_subcommands_take_no_tol(self, capsys, ej1_path, dual_path, argv):
+        # the solvers' slack is DEFAULT_TOL; check-dual's bound is GATE_TOL
         argv = [a.format(ej1=ej1_path, dual=dual_path) for a in argv]
         assert run(capsys, *argv)[0] == 0
         with pytest.raises(SystemExit) as exc:

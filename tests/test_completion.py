@@ -9,9 +9,9 @@ from frameopt import (
     PotentialKind,
     complete,
     completion_to_json,
-    lower_bound,
     optimal_B,
     plan,
+    trace_f,
 )
 from frameopt.completion import lower_bounds
 from frameopt.errors import DomainError, Infeasible, RankDeficient
@@ -241,13 +241,13 @@ class TestComplete:
 class TestLowerBound:
     def test_reference_bounds(self):
         nu = [9.0, 5.0, 4.25, 4.25, 4.0]
-        assert lower_bound(nu, PotentialKind.FRAME_POTENTIAL) == pytest.approx(158.125)
+        assert trace_f(nu, PotentialKind.FRAME_POTENTIAL) == pytest.approx(158.125)
         hand = 1.0 / 9.0 + 1.0 / 5.0 + 2.0 / 4.25 + 1.0 / 4.0
-        assert lower_bound(nu, PotentialKind.MEAN_SQUARE_ERROR) == pytest.approx(hand)
+        assert trace_f(nu, PotentialKind.MEAN_SQUARE_ERROR) == pytest.approx(hand)
 
     def test_constant_spectrum(self):
-        assert lower_bound(np.full(4, 2.0), PotentialKind.FRAME_POTENTIAL) == pytest.approx(16.0)
-        assert lower_bound(np.full(4, 2.0), PotentialKind.MEAN_SQUARE_ERROR) == pytest.approx(2.0)
+        assert trace_f(np.full(4, 2.0), PotentialKind.FRAME_POTENTIAL) == pytest.approx(16.0)
+        assert trace_f(np.full(4, 2.0), PotentialKind.MEAN_SQUARE_ERROR) == pytest.approx(2.0)
 
 
 def _random_alternative(rng, frame, beta):
@@ -317,10 +317,10 @@ def test_lower_bounds_match_lower_bound_of_each_kind():
     for values in _bounds_cases():
         spectrum = fo.SpectrumVec(values)
         try:
-            mse = lower_bound(spectrum, PotentialKind.MEAN_SQUARE_ERROR)
+            mse = trace_f(spectrum, PotentialKind.MEAN_SQUARE_ERROR)
         except DomainError:
             mse = np.inf
-        ref = {"fp": lower_bound(spectrum, PotentialKind.FRAME_POTENTIAL), "mse": mse}
+        ref = {"fp": trace_f(spectrum, PotentialKind.FRAME_POTENTIAL), "mse": mse}
         got = lower_bounds(spectrum)
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref.items()}
 

@@ -110,9 +110,9 @@ class TestTraceF:
             trace_f([1.0, 0.0], PotentialKind.MEAN_SQUARE_ERROR)
 
     def test_kind_from_name(self):
-        assert PotentialKind.from_name("fp") is PotentialKind.FRAME_POTENTIAL
+        assert PotentialKind("fp") is PotentialKind.FRAME_POTENTIAL
         with pytest.raises(ValueError):
-            PotentialKind.from_name("nope")
+            PotentialKind("nope")
 
 
 def test_overflowing_frame_potential_is_inf_without_warning():

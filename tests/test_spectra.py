@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import frameopt as fo
+import frameopt.spectra
 from frameopt import (
     Regime,
     c_lambda,
@@ -20,7 +21,7 @@ from frameopt import (
 )
 from frameopt.errors import BadM, BadTrace, LengthMismatch
 
-from conftest import random_psd, random_spectrum, random_unitary
+from conftest import count_calls, random_psd, random_spectrum, random_unitary
 
 LAM_A = [9.0, 5.0, 4.0, 2.0, 1.0]
 LAM_B = [7.0, 4.0, 4.0, 3.0, 1.0]
@@ -303,6 +304,17 @@ def test_nu_matches_batched_cutoff_and_level(rng):
         for i, t in enumerate(grid):
             b = nu(lam, m, float(t))
             assert b.r == rs[i] and b.c == cs[i]
+
+
+def test_nu_at_or_below_s_star_searches_once(monkeypatch):
+    # below s* the rank bound does not bite, so nu runs the m = 0 search alone
+    lam = [5.0, 4.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.2, 0.0]
+    assert s_star(lam, 4) == 31.0
+    calls = count_calls(monkeypatch, frameopt.spectra, "_waterfill")
+    b = nu(lam, 4, 25.0)
+    assert len(calls) == 1
+    assert b.regime is Regime.AT_OR_BELOW_S_STAR
+    assert (b.r, b.c) == (r_lambda_m(lam, 4, 25.0), c_lambda_m(lam, 4, 25.0))
 
 
 @pytest.mark.parametrize(

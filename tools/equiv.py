@@ -1,0 +1,143 @@
+"""Bitwise digest of frameopt's outputs, for comparing two checkouts.
+
+    python3 tools/equiv.py [--seeds 1 2 20261017]
+
+Run it in each checkout: it imports frameopt from the ``src/`` next to it
+and the benchmark's generator from ``perfbench/gen.py`` for its inputs.  It
+prints one JSON object holding a SHA-256 prefix per family of outputs:
+
+- ``complete``: ``complete`` on the benchmark's ``complete`` pools (timed and
+  wide) of each seed: plan, lower bounds, added block, completed synthesis;
+- ``nu-grid``: every ``NuBreakdown`` field at every trace of the ``nu-grid``
+  pools (timed and wide);
+- ``dual``: a fixed corpus of 300 frames (d in [2, 10], n in (d, 3d], real
+  and complex): canonical and optimal duals at 1, 1.3 and 3 times tr(S^-1),
+  and the existence and duality predicates;
+- ``cli``: exit code, stdout and stderr of every ``cli`` pool invocation,
+  run in process through ``frameopt.cli.main``.
+
+An exception the library raises is recorded by its type name.  Equal digests
+mean equal bits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import frameopt as fo  # noqa: E402
+import frameopt.cli  # noqa: E402
+import gen  # noqa: E402
+
+
+def _feed(h, x) -> None:
+    """Hash x by its bits: arrays by dtype, shape and bytes, the rest by repr."""
+    if isinstance(x, np.ndarray):
+        h.update(f"{x.dtype}{x.shape}".encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            _feed(h, item)
+    else:
+        h.update(repr(x).encode())
+    h.update(b"|")
+
+
+def _record(h, fn) -> None:
+    try:
+        _feed(h, fn())
+    except (fo.errors.FrameOptError, ValueError, ArithmeticError) as exc:
+        _feed(h, type(exc).__name__)
+
+
+def _pools(workload: str, seeds):
+    for seed in seeds:
+        yield from gen.make_pool(workload, seed)
+        yield from gen.make_probe(workload, seed)
+
+
+def _complete(inst):
+    res = fo.complete(fo.CompletionProblem(fo.Frame(inst["A"]), inst["beta"]))
+    p = res.plan
+    done = None if res.completed is None else res.completed.synthesis
+    bounds = res.lower_bounds["fp"], res.lower_bounds["mse"]
+    return (res.feasible, res.nu.values, res.unique_B, p.mu_hat, p.r_hat, p.c_hat,
+            bounds, res.added, done)
+
+
+def _breakdown(lam, m, t):
+    b = fo.nu(lam, m, float(t))
+    return b._replace(nu=b.nu.values, regime=b.regime.value)
+
+
+def _dual(frame):
+    canonical = fo.canonical_dual(frame)
+    out = [canonical.synthesis, fo.tight_dual_exists(frame), fo.parseval_dual_exists(frame),
+           fo.is_dual(frame, canonical)]
+    t0 = fo.inverse_operator(frame).trace()
+    for scale in (1.0, 1.3, 3.0):
+        res = fo.optimal_dual(fo.DualProblem(frame, scale * t0))
+        op = res.operator
+        out += [res.dual.synthesis, res.nu.values, res.unique_S,
+                op.eigenvalues.values, op.eigenvectors, fo.is_dual(frame, res.dual)]
+    return out
+
+
+def _dual_corpus():
+    rng = np.random.default_rng(20261019)
+    for i in range(300):
+        d = int(rng.integers(2, 11))
+        n = int(rng.integers(d + 1, 3 * d + 1))
+        a = rng.standard_normal((d, n))
+        if i % 2:
+            a = a + 1j * rng.standard_normal((d, n))
+        yield fo.Frame(a)
+
+
+def _cli(workdir: Path, i: int, inst):
+    prefix = f"{workdir}/{i}-"
+    for name, text in inst["files"].items():
+        Path(prefix + name).write_text(text)
+    argv = [a.replace("{dir}/", prefix) for a in inst["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = frameopt.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().replace(prefix, "{dir}/"), err.getvalue().replace(prefix, "{dir}/")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 20261017])
+    seeds = parser.parse_args().seeds
+    hashes = {name: hashlib.sha256() for name in ("complete", "nu-grid", "dual", "cli")}
+    for inst in _pools("complete", seeds):
+        _record(hashes["complete"], lambda: _complete(inst))
+    for inst in _pools("nu-grid", seeds):
+        for t in inst["ts"]:
+            _record(hashes["nu-grid"], lambda: _breakdown(inst["lam"], inst["m"], t))
+    for frame in _dual_corpus():
+        _record(hashes["dual"], lambda: _dual(frame))
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in seeds:
+            for i, inst in enumerate(gen.make_pool("cli", seed)):
+                _feed(hashes["cli"], _cli(Path(workdir), i, inst))
+    digest = {name: h.hexdigest()[:16] for name, h in hashes.items()}
+    print(json.dumps({"seeds": seeds, **digest}))
+
+
+if __name__ == "__main__":
+    main()
