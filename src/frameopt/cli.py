@@ -6,9 +6,10 @@ spectra are inline comma-separated reals or a file path.  Output is JSON
 with a fixed field order and numbers printed to 12 significant digits, so
 identical inputs produce byte-identical stdout.
 
-Exit codes: 0 success, 2 malformed input (including a rank bound m >= d),
-3 bad trace target, 4 infeasible completion (result still printed),
-5 rank precondition violated, 6 frame not spanning / singular operator.
+Exit codes: 0 success, 2 malformed input (including a rank bound m >= d
+and a non-finite --t), 3 bad trace target, 4 infeasible completion (result
+still printed), 5 rank precondition violated, 6 frame not spanning /
+singular operator.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ waterfilling spectrum of the inverse-operator eigenvalues with rank bound
 m = 2d - n, and a dual attaining it is built from the canonical dual by
 adding mass on ker(T) paired with the trailing eigenvectors of S_F^{-1},
 all read off one SVD of T, so errors grow like cond(S_F)^(1/2), not
-cond(S_F).  ``nu`` owns the trace rule (BadTrace below tr(S_F^{-1})).
+cond(S_F).  ``nu`` applies the trace rule (t finite, and not below tr(S_F^{-1})).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def optimal_dual(problem: DualProblem) -> DualResult:
         np.concatenate((lam.values[:kept], np.full(q, breakdown.c))), h
     )
     # No copy or finiteness test: 1/sigma is finite, as sigma_d^2 >= tiny passed
-    # inverse_operator's gate, and so is the increment, as nu found c finite.
+    # inverse_operator's gate, and so is the increment, as c is for a finite t.
     return DualResult(
         dual=Frame._trusted(synthesis),
         operator=operator,

@@ -18,8 +18,11 @@ code on one contiguous row.  Every public function validates its inputs once
 assembles by ``SpectrumVec._trusted``, with no second test.  ``irregularity`` and
 ``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
 the trace thresholds where the rank bound starts to bite and where the level
-passes the top of the spectrum.  The slack of the solvers and of the
-membership test ``in_lambda_set`` is DEFAULT_TOL times the trace.
+passes the top of the spectrum.  ``_check_trace`` owns the trace rule, which
+every entry point taking a trace applies before any kernel runs: t finite
+(ValueError) and at least tr(lam) * (1 - DEFAULT_TOL) (BadTrace), then clamped
+up to tr(lam); ``in_lambda_set`` applies only the finiteness part.  The slack
+of the solvers and of membership is DEFAULT_TOL times the trace.
 """
 
 from __future__ import annotations
@@ -67,17 +70,16 @@ class NuBreakdown(NamedTuple):
     unique: bool
 
 
-def _clamped_trace(values: np.ndarray, t):
-    """Validate t >= tr(values) * (1 - DEFAULT_TOL) and clamp upstream rounding."""
-    t0 = float(values.sum())
-    t_arr = np.asarray(t, dtype=float)
-    if (t_arr < t0 * (1.0 - DEFAULT_TOL)).any():
+def _check_trace(t: float, t0: float | None = None) -> None:
+    """The trace rule: t finite (ValueError), and t >= t0 * (1 - DEFAULT_TOL) (BadTrace)."""
+    if not math.isfinite(t):
+        raise ValueError(f"trace target must be finite, got t = {t}")
+    if t0 is not None and t < t0 * (1.0 - DEFAULT_TOL):
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
-    return np.maximum(t_arr, t0)
 
 
 def _check_m(values: np.ndarray, m) -> int:
-    if not isinstance(m, (int, np.integer)):
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise BadM("m must be an integer")
     if m >= values.size:
         raise BadM(f"m must be smaller than d = {values.size}")
@@ -136,15 +138,16 @@ def _waterfill(values: np.ndarray, m: int, tt: np.ndarray, sst: float | None = N
 def _solve(lam, m, t):
     values = spectrum_values(lam)
     mm = _check_m(values, m)
-    tt = _clamped_trace(values, t)
-    return _waterfill(values, mm, tt.reshape(-1))
+    t0, tt = float(values.sum()), np.asarray(t, dtype=float).reshape(-1)
+    if tt.size:  # min and max carry a NaN, and the extremes of the rest
+        _check_trace(float(tt.min()), t0)
+        _check_trace(float(tt.max()))
+    return _waterfill(values, mm, np.maximum(tt, t0))
 
 
 def _shaped_like(x: np.ndarray, t, scalar):
     """``scalar(x[0])`` for a scalar trace, else ``x`` in the shape of ``t``."""
-    if np.ndim(t) == 0:
-        return scalar(x[0])
-    return x.reshape(np.shape(t))
+    return scalar(x[0]) if np.ndim(t) == 0 else x.reshape(np.shape(t))
 
 
 def irregularity(lam, t):
@@ -191,10 +194,10 @@ def nu(lam, m: int, t) -> NuBreakdown:
     raised to the level c; ``regime`` names the piece of the rule (t
     against s* and s**).  The result has trace t and is nonincreasing;
     whether it is entrywise above ``lam`` at the capped positions is the
-    caller's membership question.  ``nu`` owns both solvers' trace rule:
-    t may fall short of tr(lam) by DEFAULT_TOL * tr(lam), and an increment
-    may fall below zero by DEFAULT_TOL * t (it is then cut to 0).  A t
-    whose level c underflows (``nu([0, 0], 0, 5e-324)``) raises BadTrace too.
+    caller's membership question.  ``nu`` applies both solvers' trace rule
+    (``_check_trace``), and an increment may fall below zero by
+    DEFAULT_TOL * t (it is then cut to 0).  A t whose level c underflows
+    (``nu([0, 0], 0, 5e-324)``) raises BadTrace too.
     """
     values = spectrum_values(lam)
     return _nu(values, _check_m(values, m), t)
@@ -203,9 +206,8 @@ def nu(lam, m: int, t) -> NuBreakdown:
 def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
     d = values.size
     t0, t = float(np.add.reduce(values)), float(t)
-    if t < t0 * (1.0 - DEFAULT_TOL):  # _clamped_trace on a Python float
-        raise BadTrace(f"trace target below tr(lambda) = {t0}")
-    t = t0 if t <= t0 else t  # as np.maximum: NaN passes, -0.0 becomes t0
+    _check_trace(t, t0)
+    t = t0 if t <= t0 else t  # as np.maximum: -0.0 becomes t0
     sst = sstst = None
     regime, unique = Regime.AT_OR_BELOW_S_STAR, True
     if m >= 1:
@@ -217,9 +219,7 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
     # At or below s* the rank bound does not bite: the m = 0 search gives r and c at once.
     bites = regime is not Regime.AT_OR_BELOW_S_STAR
     r_arr, c_arr = _waterfill(values, m if bites else 0, np.array([t]), sst)
-    r, c = int(r_arr[0]), float(c_arr[0])
-    if not math.isfinite(c):  # a NaN or infinite t, or a level past the float range
-        raise ValueError(f"spectrum entries must be finite: level c = {c} at t = {t}")
+    r, c = int(r_arr[0]), float(c_arr[0])  # finite, as t and tr(lam) are
     kept = max(r, m)
     capped = r + d - kept  # the entries lam[r:kept] close the spectrum from here
     raised = np.empty(d)
@@ -244,12 +244,8 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
 
 
 def minimizer_is_unique(lam, m: int, t) -> bool:
-    """Whether the minimal spectrum is reached by a unique perturbed operator.
-
-    ``nu(lam, m, t).unique``, so BadTrace below tr(lam) * (1 - DEFAULT_TOL).
-    """
-    values = spectrum_values(lam)
-    return _nu(values, _check_m(values, m), t).unique
+    """Whether one perturbed operator reaches the minimal spectrum: ``nu(lam, m, t).unique``."""
+    return nu(lam, m, t).unique
 
 
 def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray) -> bool:
@@ -268,9 +264,11 @@ def in_lambda_set(lam, m: int, t, mu) -> bool:
 
     Checks mu >= lam entrywise, tr(mu) >= t, and for m >= 1 the shifted
     caps mu_{d-m+i} <= lam_i, all within DEFAULT_TOL * max(t, tr(lam)).
+    ValueError for a non-finite t; a t below tr(lam) is allowed.
     """
     values = spectrum_values(lam)
     mm = _check_m(values, m)
+    _check_trace(float(t))
     mu_v = np.asarray(getattr(mu, "values", mu), dtype=float).reshape(-1)
     if mu_v.size != values.size:
         raise LengthMismatch(f"lengths differ: {mu_v.size} vs {values.size}")
@@ -285,6 +283,7 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     by construction (verified; falls back to the minimal spectrum itself).
     ``scale`` defaults to a quarter of the minimal spectrum's top entry, so
     samples follow a rescaling of lam and t; ``scale=0`` returns it unchanged.
+    ValueError for a non-finite or negative ``scale``.
     """
     values = spectrum_values(lam)
     mm = _check_m(values, m)
@@ -293,6 +292,8 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     d = values.size
     if scale is None:
         scale = 0.25 * float(base[0])
+    elif not 0.0 <= scale < math.inf:  # NaN fails both
+        raise ValueError(f"scale must be finite and nonnegative, got {scale}")
     if scale == 0.0:
         return minimal
     rng = np.random.default_rng(rng_seed)

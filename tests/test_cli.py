@@ -88,6 +88,12 @@ class TestNu:
         assert code == 3
         assert "trace" in err
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "1e400"])
+    def test_non_finite_trace_exit(self, capsys, t):
+        code, out, err = run(capsys, "nu", "--lambda", "9,5,4,2,1", "--m", "3", "--t", t)
+        assert (code, out) == (2, "")
+        assert err.startswith("frameopt: trace target must be finite")
+
     def test_bad_m_exit(self, capsys):
         # m must be below d = 5; a bad rank bound is malformed input, not a bad trace
         code, _, err = run(capsys, "nu", "--lambda", "9,5,4,2,1", "--m", "5", "--t", "26.5")
@@ -176,6 +182,12 @@ class TestDual:
         code, _, err = run(capsys, "dual", "--frame", dual_path, "--t", "2.0")
         assert code == 3
         assert err
+
+    @pytest.mark.parametrize("t", ["nan", "1e400"])
+    def test_non_finite_trace_exit(self, capsys, dual_path, t):
+        code, out, err = run(capsys, "dual", "--frame", dual_path, "--t", t)
+        assert (code, out) == (2, "")
+        assert err.startswith("frameopt: trace target must be finite")
 
     def test_not_spanning_exit(self, capsys, tmp_path):
         flat = fo.Frame(np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]]))

@@ -200,7 +200,7 @@ class TestNu:
     @pytest.mark.parametrize("m", [-1, 0, 1, 3])
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_trace_raises_without_warning(self, m, t):
-        # nu rejects the non-finite level c computed from t
+        # nu rejects a non-finite t before its kernel runs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
@@ -211,6 +211,8 @@ class TestNu:
             nu(LAM_A, 5, 30.0)
         with pytest.raises(BadM):  # not an integer
             nu([2.0, 1.0], 0.5, 3.0)
+        with pytest.raises(BadM):  # a bool is not a rank bound, as in frame JSON
+            nu([2.0, 1.0], True, 3.0)
 
     def test_base_trace_returns_lambda_at_every_scale(self, rng):
         # rounding in the cumulative sums once failed every cutoff test at
@@ -282,6 +284,43 @@ def test_array_traces_match_scalar_calls(rng, fn, kind):
         square = fn(lam, m, grid.reshape(3, 4))
         assert square.shape == (3, 4)
         assert square.ravel().tolist() == scalars
+
+
+_TRACE_ENTRY_POINTS = {
+    "nu": lambda t: nu(LAM_B, 2, t),
+    "irregularity": lambda t: irregularity(LAM_B, t),
+    "c_lambda": lambda t: c_lambda(LAM_B, t),
+    "r_lambda_m": lambda t: r_lambda_m(LAM_B, 2, t),
+    "c_lambda_m": lambda t: c_lambda_m(LAM_B, 2, t),
+    "minimizer_is_unique": lambda t: minimizer_is_unique(LAM_B, 2, t),
+    "sample_lambda_set": lambda t: sample_lambda_set(LAM_B, 2, t, rng_seed=1),
+    "optimal_dual": lambda t: fo.optimal_dual(
+        fo.DualProblem(fo.Frame(np.hstack([np.eye(3), np.eye(3)])), t)
+    ),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, np.array(np.nan)], ids=["nan", "inf", "array"])
+@pytest.mark.parametrize("entry", sorted(_TRACE_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_non_finite_trace(entry, t):
+    # one trace rule, checked before any kernel runs: no warning, one message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^trace target must be finite"):
+            _TRACE_ENTRY_POINTS[entry](t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["irregularity", "c_lambda", "r_lambda_m", "c_lambda_m"])
+def test_one_non_finite_trace_fails_the_whole_batch(entry, bad):
+    grid = np.array([19.0, 24.0, bad, 30.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^trace target must be finite"):
+            _TRACE_ENTRY_POINTS[entry](grid)
+    with pytest.raises(BadTrace):  # a finite batch still meets the floor at its min
+        _TRACE_ENTRY_POINTS[entry](np.array([24.0, 18.0]))
+    assert _TRACE_ENTRY_POINTS[entry](np.array([])).shape == (0,)
 
 
 def test_nu_matches_batched_cutoff_and_level(rng):
@@ -382,6 +421,12 @@ class TestMembership:
         with pytest.raises(LengthMismatch):
             in_lambda_set([2.0, 1.0], 0, 3.0, [2.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_trace(self, t):
+        # an infinite slack DEFAULT_TOL * t once accepted the base point at t = inf
+        with pytest.raises(ValueError, match="^trace target must be finite"):
+            in_lambda_set([2.0, 1.0], 0, t, [2.0, 1.0])
+
     def test_nu_is_always_a_member(self, rng):
         # at every scale: an absolute slack once rejected nu at 1e10
         for _ in range(200):
@@ -410,6 +455,11 @@ class TestSampler:
         for alpha in (1e-8, 1.0, 1e8):
             got = sample_lambda_set(alpha * lam, 0, 7.0 * alpha, rng_seed=3).values
             assert np.max(np.abs(got / alpha - ref)) <= 1e-12 * np.max(ref)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_scale(self, scale):
+        with pytest.raises(ValueError, match="^scale must be finite and nonnegative"):
+            sample_lambda_set(LAM_A, 3, 26.5, rng_seed=5, scale=scale)
 
     def test_upward_mass_without_rank_bound(self):
         mu = sample_lambda_set(LAM_A, 0, 24.0, rng_seed=11, scale=10.0)
