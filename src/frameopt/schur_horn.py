@@ -90,9 +90,13 @@ def _chain(lam: np.ndarray, tgt: np.ndarray):
     return rotations, np.array(rows)
 
 
-def _unitary(rotations, rows) -> np.ndarray:
-    """The rotations applied to the identity, rows reordered by ``rows``."""
-    u = np.eye(rows.size)
+def _unitary(rotations, rows, cols: int | None = None) -> np.ndarray:
+    """The rotations applied to the identity, rows reordered by ``rows``.
+
+    With ``cols``, only the identity's first ``cols`` columns: a rotation
+    mixes rows, so these come out bit for bit as in the full matrix.
+    """
+    u = np.eye(rows.size, cols)
     # in place on row views: c and s are real, so rows i, j become
     # [c, s; -s, c] times them
     for i, j, c, s in rotations:
@@ -114,7 +118,7 @@ def unitary_for_diagonal(spectrum, target) -> np.ndarray:
 def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
     """V diag(sigma)^1/2 U*, phase-fixed, with U from ``chain`` planned on sigma (padded to k)."""
     p = vectors.shape[1]
-    u = _unitary(*chain)[:, :p]
+    u = _unitary(*chain, p)
     return _fix_phases((vectors * np.sqrt(sigma[:p])) @ u.conj().T)
 
 

@@ -147,7 +147,9 @@ def _solve(lam, m, t):
 
 def _shaped_like(x: np.ndarray, t, scalar):
     """``scalar(x[0])`` for a scalar trace, else ``x`` in the shape of ``t``."""
-    return scalar(x[0]) if np.ndim(t) == 0 else x.reshape(np.shape(t))
+    if np.ndim(t) == 0:
+        return scalar(x[0])
+    return x.reshape(np.shape(t))
 
 
 def irregularity(lam, t):
@@ -245,7 +247,8 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
 
 def minimizer_is_unique(lam, m: int, t) -> bool:
     """Whether one perturbed operator reaches the minimal spectrum: ``nu(lam, m, t).unique``."""
-    return nu(lam, m, t).unique
+    values = spectrum_values(lam)
+    return _nu(values, _check_m(values, m), t).unique
 
 
 def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray) -> bool:

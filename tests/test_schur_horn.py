@@ -184,6 +184,10 @@ def test_unitary_matches_a_chain_of_givens_left(rng):
             for i, j, c, s in rotations:
                 ref = _givens_left(ref, i, j, c, s)
             assert np.array_equal(unitary_for_diagonal(lam, target), ref[rows, :])
+            # _factor's k x p block: the first p columns, bit for bit
+            for p in {1, (k + 1) // 2, k}:
+                block = fo.schur_horn._unitary(rotations, rows, p)
+                assert np.array_equal(block, ref[rows, :p])
 
 
 def test_norms_of_any_family_are_majorized_by_operator_spectrum(rng):
