@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pot = sub.add_parser("potential", help="convex potential of a frame")
     p_pot.add_argument("--frame", required=True)
-    p_pot.add_argument("--kind", required=True, choices=["fp", "mse", "xlogx"])
+    p_pot.add_argument("--kind", required=True, choices=[k.value for k in PotentialKind])
     p_pot.set_defaults(handler=_cmd_potential)
 
     return parser

@@ -3,8 +3,10 @@
 ``rotation_chain`` produces at most k - 1 plane rotations that conjugate
 diag(spectrum) into a matrix with a given diagonal (possible exactly when
 the target is majorized by the spectrum: ``_reachable``, which ``plan`` asks
-too), pinning one diagonal entry per rotation.  ``realize_frame`` uses the
-resulting unitary to factor a PSD operator into prescribed squared norms.
+too), pinning one diagonal entry per rotation.  ``_rotate`` applies them to
+k rows: of the identity in ``unitary_for_diagonal``, and of (V diag(sigma)^1/2)^T
+in ``realize_frame``, which so factors a PSD operator into k vectors of
+prescribed squared norms in dimension d in O(k d), without forming the unitary.
 """
 
 from __future__ import annotations
@@ -90,36 +92,33 @@ def _chain(lam: np.ndarray, tgt: np.ndarray):
     return rotations, np.array(rows)
 
 
-def _unitary(rotations, rows, cols: int | None = None) -> np.ndarray:
-    """The rotations applied to the identity, rows reordered by ``rows``.
-
-    With ``cols``, only the identity's first ``cols`` columns: a rotation
-    mixes rows, so these come out bit for bit as in the full matrix.
-    """
-    u = np.eye(rows.size, cols)
-    # in place on row views: c and s are real, so rows i, j become
-    # [c, s; -s, c] times them
+def _rotate(x: np.ndarray, rotations, rows) -> np.ndarray:
+    """The rotations applied in place to the rows of ``x`` (k rows), then ``x[rows]``."""
+    # on row views: c and s are real, so rows i, j become [c, s; -s, c] times them
     for i, j, c, s in rotations:
-        ri, rj = u[i], u[j]
+        ri, rj = x[i], x[j]
         t = s * ri
         ri *= c
         ri += s * rj
         rj *= c
         rj -= t
-    return u[rows]
+    return x[rows]
 
 
 def unitary_for_diagonal(spectrum, target) -> np.ndarray:
     """Real orthogonal U with diag(U diag(spectrum) U*) equal to ``target``;
     ``rotation_chain``'s errors, its slack DEFAULT_TOL * tr(spectrum)."""
-    return _unitary(*rotation_chain(spectrum, target))
+    rotations, rows = rotation_chain(spectrum, target)
+    return _rotate(np.eye(rows.size), rotations, rows)
 
 
 def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
-    """V diag(sigma)^1/2 U*, phase-fixed, with U from ``chain`` planned on sigma (padded to k)."""
+    """V diag(sigma)^1/2 U*, phase-fixed, U from ``chain`` planned on sigma (padded to k):
+    U is real, so the chain rotates the k x d rows of (V diag(sigma)^1/2)^T, zero past p."""
     p = vectors.shape[1]
-    u = _unitary(*chain, p)
-    return _fix_phases((vectors * np.sqrt(sigma[:p])) @ u.conj().T)
+    x = np.zeros((sigma.size, vectors.shape[0]), vectors.dtype)
+    x[:p] = (vectors * np.sqrt(sigma[:p])).T
+    return _fix_phases(_rotate(x, *chain).T.copy())
 
 
 def _leading(b: HermitianPSD, k: int):

@@ -19,10 +19,11 @@ assembles by ``SpectrumVec._trusted``, with no second test.  ``irregularity`` an
 ``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
 the trace thresholds where the rank bound starts to bite and where the level
 passes the top of the spectrum.  ``_check_trace`` owns the trace rule, which
-every entry point taking a trace applies before any kernel runs: t finite
-(ValueError) and at least tr(lam) * (1 - DEFAULT_TOL) (BadTrace), then clamped
-up to tr(lam); ``in_lambda_set`` applies only the finiteness part.  The slack
-of the solvers and of membership is DEFAULT_TOL times the trace.
+every entry point taking a trace applies before any kernel runs: t finite even
+times 1 + DEFAULT_TOL, which keeps c + TIE_TOL * t and tr(nu) finite (ValueError),
+and at least tr(lam) * (1 - DEFAULT_TOL) (BadTrace), then clamped up to tr(lam);
+``in_lambda_set`` applies only the finiteness part.  The slack of the solvers
+and of membership is DEFAULT_TOL times the trace.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class NuBreakdown(NamedTuple):
 
 
 def _check_trace(t: float, t0: float | None = None) -> None:
-    """The trace rule: t finite (ValueError), and t >= t0 * (1 - DEFAULT_TOL) (BadTrace)."""
-    if not math.isfinite(t):
-        raise ValueError(f"trace target must be finite, got t = {t}")
+    """The trace rule: t finite, also times 1 + DEFAULT_TOL (ValueError), and
+    t >= t0 * (1 - DEFAULT_TOL) (BadTrace)."""
+    if not math.isfinite(t) or t * (1.0 + DEFAULT_TOL) == math.inf:
+        raise ValueError(f"trace target must be finite, even times 1 + {DEFAULT_TOL}, got t = {t}")
     if t0 is not None and t < t0 * (1.0 - DEFAULT_TOL):
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
 
@@ -305,10 +307,9 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
         cap[d - mm :] = values[:mm]
     draw = rng.uniform(0.0, scale, size=d) * (rng.random(d) < 0.7)
     out = np.empty(d)
-    for j in range(d - 1, -1, -1):
-        lower = base[j] if j == d - 1 else max(base[j], out[j + 1])
-        out[j] = min(cap[j], lower + draw[j])
-    sample = SpectrumVec(out)
-    if not _is_member(values, mm, t, sample.values):
-        return minimal
-    return sample
+    with np.errstate(over="ignore"):  # a sample whose mass overflows is no member
+        for j in range(d - 1, -1, -1):
+            lower = base[j] if j == d - 1 else max(base[j], out[j + 1])
+            out[j] = min(cap[j], lower + draw[j])
+        member = float(np.add.reduce(out)) < math.inf and _is_member(values, mm, t, out)
+    return SpectrumVec(out) if member else minimal

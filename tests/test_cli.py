@@ -88,7 +88,7 @@ class TestNu:
         assert code == 3
         assert "trace" in err
 
-    @pytest.mark.parametrize("t", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "1e400", "1.7976931348623157e308"])
     def test_non_finite_trace_exit(self, capsys, t):
         code, out, err = run(capsys, "nu", "--lambda", "9,5,4,2,1", "--m", "3", "--t", t)
         assert (code, out) == (2, "")

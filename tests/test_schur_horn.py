@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,6 +138,24 @@ class TestRealizeFrame:
             assert np.linalg.norm(g @ g.conj().T - b.matrix) <= 1e-8 * scale
             assert np.max(np.abs(np.sum(np.abs(g) ** 2, axis=0) - beta)) <= 1e-9
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_many_vectors_in_few_dimensions(self, rng, cplx):
+        # k >> d: the chain rotates a k x d factor, where a k x k unitary would take 128 MB
+        d, k = 3, 4000
+        b = HermitianPSD(random_psd(rng, d, cplx=cplx))
+        w = rng.uniform(0.5, 1.5, k)
+        beta = b.trace() * w / w.sum()  # any 3 entries sum to far less than lam_1 >= tr / 3
+        tracemalloc.start()
+        try:
+            g = realize_frame(b, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (d, k) and peak < 16 * 2**20
+        scale = 1.0 + np.linalg.norm(b.matrix)
+        assert np.linalg.norm(g @ g.conj().T - b.matrix) <= 1e-8 * scale
+        assert np.max(np.abs(np.sum(np.abs(g) ** 2, axis=0) - beta)) <= 1e-9
+
     def test_real_input_keeps_real_output(self, rng):
         b = HermitianPSD(random_psd(rng, 3, rank=2))
         beta = np.full(3, b.trace() / 3.0)
@@ -184,10 +203,19 @@ def test_unitary_matches_a_chain_of_givens_left(rng):
             for i, j, c, s in rotations:
                 ref = _givens_left(ref, i, j, c, s)
             assert np.array_equal(unitary_for_diagonal(lam, target), ref[rows, :])
-            # _factor's k x p block: the first p columns, bit for bit
-            for p in {1, (k + 1) // 2, k}:
-                block = fo.schur_horn._unitary(rotations, rows, p)
-                assert np.array_equal(block, ref[rows, :p])
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_rotate_acts_on_a_factor_as_a_chain_of_givens_left(rng, cplx):
+    # realize_frame rotates the k x d rows of (V sigma^1/2)^T: the same arithmetic again
+    for k, d in [(1, 3), (2, 5), (6, 6), (9, 2), (31, 4)]:
+        lam = np.sort(rng.uniform(0.0, 2.0, k))[::-1]
+        rotations, rows = rotation_chain(lam, mixed_toward_average(rng, lam))
+        x = rng.standard_normal((k, d)) + (1j * rng.standard_normal((k, d)) if cplx else 0.0)
+        ref = x.copy()
+        for i, j, c, s in rotations:
+            ref = _givens_left(ref, i, j, c, s)
+        assert np.array_equal(fo.schur_horn._rotate(x, rotations, rows), ref[rows])
 
 
 def test_norms_of_any_family_are_majorized_by_operator_spectrum(rng):

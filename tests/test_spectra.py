@@ -300,14 +300,20 @@ _TRACE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, np.array(np.nan)], ids=["nan", "inf", "array"])
+@pytest.mark.parametrize("t", [np.nan, np.inf, np.array(np.nan), np.finfo(float).max],
+                         ids=["nan", "inf", "array", "max"])
 @pytest.mark.parametrize("entry", sorted(_TRACE_ENTRY_POINTS))
 def test_every_entry_point_rejects_a_non_finite_trace(entry, t):
-    # one trace rule, checked before any kernel runs: no warning, one message
+    # one trace rule, checked before any kernel runs: no warning, one message;
+    # at the float maximum, t * (1 + DEFAULT_TOL) overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^trace target must be finite"):
             _TRACE_ENTRY_POINTS[entry](t)
+    if np.ndim(t) == 0 and np.isfinite(t):  # just below the margin, t is a trace again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _TRACE_ENTRY_POINTS[entry](1.79e308)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

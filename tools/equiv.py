@@ -2,9 +2,10 @@
 
     python3 tools/equiv.py [--seeds 1 2 20261017]
 
-Run it in each checkout: it imports frameopt from the ``src/`` next to it
-and the benchmark's generator from ``perfbench/gen.py`` for its inputs.  It
-prints one JSON object holding a SHA-256 prefix per family of outputs:
+Run it in each checkout: it imports frameopt from the ``src/`` next to it,
+and the benchmark's generator and checks from ``perfbench/gen.py`` and
+``perfbench/check.py`` for its inputs and certificates.  It prints one JSON
+object holding a SHA-256 prefix per family of outputs:
 
 - ``complete``: ``complete`` on the benchmark's ``complete`` pools (timed and
   wide) of each seed: plan, lower bounds, added block, completed synthesis;
@@ -17,7 +18,14 @@ prints one JSON object holding a SHA-256 prefix per family of outputs:
   run in process through ``frameopt.cli.main``.
 
 An exception the library raises is recorded by its type name.  Equal digests
-mean equal bits.
+mean equal bits.  Under ``worst``, the object also holds the largest
+certificate of each family that has them, as ``perfbench/check.py`` defines
+them against its numpy reference: for ``complete``, ``spectrum_rel`` (the
+completed spectrum and the reported nu against the reference nu) and
+``norm_rel`` (the added squared norms against beta); for ``dual``'s optimal
+duals, ``duality_rel`` (||W F* - I|| relative), ``spectrum_rel`` (spec(W W*)
+and the reported nu against the reference nu) and ``kernel_orth``.  They say
+how far outputs that differ in their bits are from the answer.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
+import check  # noqa: E402
 import frameopt as fo  # noqa: E402
 import frameopt.cli  # noqa: E402
 import gen  # noqa: E402
@@ -54,11 +63,21 @@ def _feed(h, x) -> None:
     h.update(b"|")
 
 
-def _record(h, fn) -> None:
+def _record(h, fn):
+    """Hash fn()'s output, or the name of the library error it raised; return the output or None."""
     try:
-        _feed(h, fn())
+        out = fn()
     except (fo.errors.FrameOptError, ValueError, ArithmeticError) as exc:
         _feed(h, type(exc).__name__)
+        return None
+    _feed(h, out)
+    return out
+
+
+def _certify(worst: dict, outcome) -> None:
+    """Collect an outcome's certificates; ``main`` keeps the largest of each (NaN wins)."""
+    for name, value in outcome.certs.items():
+        worst.setdefault(name, []).append(value)
 
 
 def _pools(workload: str, seeds):
@@ -81,16 +100,22 @@ def _breakdown(lam, m, t):
     return b._replace(nu=b.nu.values, regime=b.regime.value)
 
 
-def _dual(frame):
+def _dual(frame, worst: dict):
     canonical = fo.canonical_dual(frame)
     out = [canonical.synthesis, fo.tight_dual_exists(frame), fo.parseval_dual_exists(frame),
            fo.is_dual(frame, canonical)]
+    a = frame.synthesis
+    lam = np.sort(1.0 / np.linalg.eigvalsh(a @ a.conj().T))[::-1]  # reference spec(S^-1)
     t0 = fo.inverse_operator(frame).trace()
     for scale in (1.0, 1.3, 3.0):
-        res = fo.optimal_dual(fo.DualProblem(frame, scale * t0))
+        problem = fo.DualProblem(frame, scale * t0)
+        res = fo.optimal_dual(problem)
         op = res.operator
         out += [res.dual.synthesis, res.nu.values, res.unique_S,
                 op.eigenvalues.values, op.eigenvectors, fo.is_dual(frame, res.dual)]
+        nu_ref, masses = gen.gaps(lam, problem.m, problem.t)
+        inst = {"A": a, "nu": nu_ref, "masses": masses}
+        _certify(worst, check.check_dual(inst, res.nu.values, res.dual.synthesis))
     return out
 
 
@@ -124,19 +149,25 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 20261017])
     seeds = parser.parse_args().seeds
     hashes = {name: hashlib.sha256() for name in ("complete", "nu-grid", "dual", "cli")}
+    worst: dict = {"complete": {}, "dual": {}}
     for inst in _pools("complete", seeds):
-        _record(hashes["complete"], lambda: _complete(inst))
+        out = _record(hashes["complete"], lambda: _complete(inst))
+        if out is not None:
+            feasible, nu_values, *_, added, _ = out
+            _certify(worst["complete"], check.check_completion(inst, feasible, nu_values, added))
     for inst in _pools("nu-grid", seeds):
         for t in inst["ts"]:
             _record(hashes["nu-grid"], lambda: _breakdown(inst["lam"], inst["m"], t))
     for frame in _dual_corpus():
-        _record(hashes["dual"], lambda: _dual(frame))
+        _record(hashes["dual"], lambda: _dual(frame, worst["dual"]))
     with tempfile.TemporaryDirectory() as workdir:
         for seed in seeds:
             for i, inst in enumerate(gen.make_pool("cli", seed)):
                 _feed(hashes["cli"], _cli(Path(workdir), i, inst))
     digest = {name: h.hexdigest()[:16] for name, h in hashes.items()}
-    print(json.dumps({"seeds": seeds, **digest}))
+    worst = {family: {name: float(np.max(values)) for name, values in certs.items()}
+             for family, certs in worst.items()}
+    print(json.dumps({"seeds": seeds, **digest, "worst": worst}))
 
 
 if __name__ == "__main__":
