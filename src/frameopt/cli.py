@@ -29,8 +29,8 @@ from .errors import (
     RankDeficient,
     SingularFrameOperator,
 )
-from .frames import Frame, _is_real, duality_residual, frame_from_json, potential
-from .majorization import GATE_TOL, PotentialKind
+from .frames import Frame, _is_real, duality_residual, frame_from_json, is_dual, potential
+from .majorization import PotentialKind
 from .spectra import nu
 
 EXIT_OK = 0
@@ -179,8 +179,7 @@ def _cmd_dual(args) -> int:
 def _cmd_check_dual(args) -> int:
     frame = _load_frame(args.frame)
     other = _load_frame(args.dual)
-    residual = duality_residual(frame, other)
-    _print({"is_dual": bool(residual <= GATE_TOL), "residual": residual})
+    _print({"is_dual": is_dual(frame, other), "residual": duality_residual(frame, other)})
     return EXIT_OK
 
 

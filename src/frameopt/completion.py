@@ -20,8 +20,8 @@ import numpy as np
 from .core_linalg import HermitianPSD, psd_rank
 from .errors import Infeasible, RankDeficient
 from .frames import Frame, frame_operator, frame_to_json
-from .majorization import SpectrumVec
-from .schur_horn import _chain, _factor, _leading, _reachable
+from .majorization import SpectrumVec, _reals
+from .schur_horn import _chain, _reachable, _realize
 from .spectra import NuBreakdown, nu
 
 
@@ -33,7 +33,7 @@ class CompletionProblem:
     beta: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.beta, dtype=float).reshape(-1)
+        arr = _reals(self.beta)
         if arr.size == 0 or np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
             raise ValueError("prescribed squared norms must be finite and positive")
         arr.flags.writeable = False
@@ -94,7 +94,7 @@ def plan(problem: CompletionProblem) -> CompletionPlan:
     breakdown = nu(lam, m, t)
     mu_hat = breakdown.increment
     padded = np.zeros(k)  # mu_hat.size = d - kept <= d - m = k
-    padded[: mu_hat.size] = mu_hat[::-1]  # nonincreasing: _leading(B, k)'s sigma, bit for bit
+    padded[: mu_hat.size] = mu_hat[::-1]  # nonincreasing: _realize's sigma, bit for bit
     return CompletionPlan(
         r_hat=breakdown.kept,
         c_hat=breakdown.c,
@@ -129,7 +129,7 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
     problem is feasible.  ``trace_f`` of each kind, bit for bit, with MSE's
     DomainError read as inf (a singular spectrum).
     """
-    v = np.asarray(getattr(nu_spectrum, "values", nu_spectrum), dtype=float).reshape(-1)
+    v = _reals(nu_spectrum)
     with np.errstate(over="ignore"):  # as trace_f: an overflowing sum is inf
         fp = float(np.sum(v * v))
         mse = math.inf if np.minimum.reduce(v) <= 0.0 else float(np.sum(1.0 / v))
@@ -146,9 +146,8 @@ def complete(problem: CompletionProblem) -> CompletionResult:
     bounds = lower_bounds(completion_plan.nu)
     added = completed = None
     if completion_plan.feasible:
-        b = optimal_B(frame_operator(problem.initial), completion_plan)
-        vectors, sigma = _leading(b, problem.k)
-        added = _factor(vectors, sigma, _chain(sigma, problem.beta))
+        added = _realize(optimal_B(frame_operator(problem.initial), completion_plan),
+                         problem.beta, _chain)
         # No second finiteness test: F0 passed Frame's, and added = V sigma^1/2 U*
         # (orthonormal V, orthogonal U, sum(sigma) <= t, which nu found finite)
         # has no entry above sqrt(t).  Both parts are real, or both complex.
@@ -174,8 +173,5 @@ def completion_to_json(result: CompletionResult) -> dict:
         "nu": result.nu.values.tolist(),
         "unique_B": result.unique_B,
         "F1": f1,
-        "lower_bounds": {
-            "fp": result.lower_bounds["fp"],
-            "mse": result.lower_bounds["mse"],
-        },
+        "lower_bounds": dict(result.lower_bounds),
     }

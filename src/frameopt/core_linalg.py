@@ -1,17 +1,17 @@
 """Dense complex-Hermitian kernels: eigensystems, null spaces, rotations.
 
 Eigensystems come from one LAPACK ``eigh`` call (the completion side's
-S_F = T T*) and kernels from the trailing right singular vectors of one
-full SVD, each followed by a canonicalization step: a stable descending
-sort (eigenpairs) and a fixed phase for every column, which the dual side
-also applies to the factors of the frame's own SVD.  Identical inputs
+S_F = T T*), followed by a canonicalization step: a stable descending
+sort and a fixed phase for every column, which the dual side also
+applies to the factors of the frame's own SVD.  Identical inputs
 therefore produce identical outputs on one machine; across BLAS/LAPACK
 builds the results agree to rounding, not bitwise.  Real symmetric input
 yields real output arrays.  Input equal to its adjoint bit for bit is used
 as is; any other is tested and replaced by its overflow-safe Hermitian
 part (A + A*)/2.
 
-``givens_left`` and ``null_space_onb`` have no caller in the library.  They
+``givens_left`` and ``null_space_onb`` (a kernel from the trailing right
+singular vectors of one full SVD) have no caller in the library.  They
 stay public only while the benchmark's tracer (``perfbench/tracer.py``)
 names them.
 """
@@ -28,7 +28,7 @@ from .errors import (
     NotPositiveSemidefinite,
     RankDeficient,
 )
-from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec
+from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec, _reals
 
 
 def _check_square(a) -> np.ndarray:
@@ -161,7 +161,7 @@ class HermitianPSD:
         is the constructor's: ``from_eigensystem([-1.0, 2.0], np.eye(2))``
         raises NotPositiveSemidefinite, while -1e-20 next to 2.0 reads as 0.
         """
-        w = np.asarray(values, dtype=float).reshape(-1)
+        w = _reals(values)
         v = np.asarray(vectors)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != w.size:
             raise ValueError("eigensystem shapes do not match")
@@ -192,7 +192,7 @@ class HermitianPSD:
 
 def psd_rank(values) -> int:
     """Number of eigenvalues (descending) above 1e-10 times the top one."""
-    w = np.asarray(getattr(values, "values", values), dtype=float).reshape(-1)
+    w = _reals(values)
     if w.size == 0:
         return 0
     return int(np.count_nonzero(w > PSD_TOL * float(w[0])))

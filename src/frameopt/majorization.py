@@ -1,9 +1,10 @@
 """Vector preorders (majorization, submajorization, entrywise) and tracial sums.
 
-All predicates work on plain 1-d real arrays; ``SpectrumVec`` is the
-container used wherever a vector is known to be an eigenvalue list
-(nonincreasing, nonnegative): validated when it comes from outside, trusted
-when the library has just made it.
+All predicates work on plain 1-d real arrays, read by ``_reals``: complex input
+only when every imaginary part is exactly 0 (else ValueError), as its real part.
+``SpectrumVec`` is the container used wherever a vector is known to be an
+eigenvalue list (nonincreasing, nonnegative): validated when it comes from
+outside, trusted when the library has just made it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,17 @@ PSD_TOL = 1e-10  # symmetry, positive semidefiniteness, numerical rank
 GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality test
 
 
+def _reals(x) -> np.ndarray:
+    """x (a SpectrumVec, or array-like) as a 1-d float array: ValueError for a nonzero
+    imaginary part, and a fresh copy of the real part when every one is exactly 0."""
+    v = np.asarray(x.values if isinstance(x, SpectrumVec) else x)
+    if v.dtype.kind == "c":
+        if np.count_nonzero(v.imag):
+            raise ValueError("entries must be real, got a nonzero imaginary part")
+        v = v.real.copy()
+    return np.asarray(v, dtype=float).reshape(-1)
+
+
 class SpectrumVec:
     """Nonincreasing, nonnegative real vector (an eigenvalue list).
 
@@ -41,7 +53,7 @@ class SpectrumVec:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = np.array(values, dtype=float).reshape(-1)
+        v = _reals(values)
         if v.size == 0:
             raise ValueError("spectrum must have at least one entry")
         top = float(np.maximum.reduce(np.abs(v)))  # NaN and +-inf propagate through max
@@ -52,7 +64,7 @@ class SpectrumVec:
             raise ValueError("spectrum entries must be nonincreasing")
         if float(v[-1]) < -slack:
             raise ValueError("spectrum entries must be nonnegative")
-        np.maximum(v, 0.0, out=v)
+        v = np.maximum(v, 0.0)  # the one copy: v may be the caller's array
         v.setflags(write=False)
         self.values = v
 
@@ -94,15 +106,14 @@ class PotentialKind(enum.Enum):
 
 def sort_desc(x) -> np.ndarray:
     """Rearrangement of x in nonincreasing order (stable, returns a copy)."""
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = _reals(x)
     if not np.isfinite(v).all():
         raise ValueError("entries must be finite")
     return -np.sort(-v, kind="stable")
 
 
 def _pair(x, y):
-    xv = np.asarray(getattr(x, "values", x), dtype=float).reshape(-1)
-    yv = np.asarray(getattr(y, "values", y), dtype=float).reshape(-1)
+    xv, yv = _reals(x), _reals(y)
     if xv.size != yv.size:
         raise LengthMismatch(f"lengths differ: {xv.size} vs {yv.size}")
     return xv, yv
@@ -138,7 +149,7 @@ def entrywise_leq(x, y, tol: float = DEFAULT_TOL) -> bool:
 def trace_f(x, kind: PotentialKind) -> float:
     """Sum of f(x_i) for the potential ``kind``; a sum that overflows (x huge,
     or x subnormal for 1/x) is inf."""
-    v = np.asarray(getattr(x, "values", x), dtype=float).reshape(-1)
+    v = _reals(x)
     if kind is PotentialKind.FRAME_POTENTIAL:
         with np.errstate(over="ignore"):
             return float(np.sum(v * v))

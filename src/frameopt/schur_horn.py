@@ -17,7 +17,7 @@ import numpy as np
 
 from .core_linalg import HermitianPSD, _fix_phases, psd_rank
 from .errors import DomainError, NotMajorized, RankTooLarge
-from .majorization import DEFAULT_TOL, majorizes, spectrum_values
+from .majorization import DEFAULT_TOL, _reals, majorizes, spectrum_values
 
 
 def _reachable(spectrum: np.ndarray, target) -> bool:
@@ -51,7 +51,7 @@ def rotation_chain(spectrum, target):
     DEFAULT_TOL * tr(spectrum), and LengthMismatch on unequal lengths.
     """
     lam = spectrum_values(spectrum)
-    tgt = np.asarray(target, dtype=float).reshape(-1)
+    tgt = _reals(target)
     if not _reachable(lam, tgt):
         raise NotMajorized("target diagonal is not majorized by the spectrum")
     return _chain(lam, tgt)
@@ -112,22 +112,17 @@ def unitary_for_diagonal(spectrum, target) -> np.ndarray:
     return _rotate(np.eye(rows.size), rotations, rows)
 
 
-def _factor(vectors: np.ndarray, sigma: np.ndarray, chain) -> np.ndarray:
-    """V diag(sigma)^1/2 U*, phase-fixed, U from ``chain`` planned on sigma (padded to k):
-    U is real, so the chain rotates the k x d rows of (V diag(sigma)^1/2)^T, zero past p."""
-    p = vectors.shape[1]
-    x = np.zeros((sigma.size, vectors.shape[0]), vectors.dtype)
-    x[:p] = (vectors * np.sqrt(sigma[:p])).T
-    return _fix_phases(_rotate(x, *chain).T.copy())
-
-
-def _leading(b: HermitianPSD, k: int):
-    """B's top min(dim B, k) eigenvectors, and its spectrum padded with zeros
-    (or cut) to length k: the step both ``realize_frame`` and ``complete`` take."""
+def _realize(b: HermitianPSD, beta: np.ndarray, planner) -> np.ndarray:
+    """V diag(sigma)^1/2 U*, phase-fixed: V is B's top p = min(dim B, k) eigenvectors, sigma
+    its spectrum padded with zeros (or cut) to k = beta.size, U real from planner(sigma, beta),
+    so the chain rotates the k x d rows of (V diag(sigma)^1/2)^T, zero past p."""
+    k = beta.size
     p = min(b.dim, k)
     sigma = np.zeros(k)
     sigma[:p] = b.eigenvalues.values[:p]
-    return b.eigenvectors[:, :p], sigma
+    x = np.zeros((k, b.dim), b.eigenvectors.dtype)
+    x[:p] = (b.eigenvectors[:, :p] * np.sqrt(sigma[:p])).T
+    return _fix_phases(_rotate(x, *planner(sigma, beta)).T.copy())
 
 
 def realize_frame(b: HermitianPSD, beta) -> np.ndarray:
@@ -138,12 +133,11 @@ def realize_frame(b: HermitianPSD, beta) -> np.ndarray:
     ``beta`` must be positive and majorized by that spectrum, as ``rotation_chain``
     tests.  Each column's first significant coordinate is made real positive.
     """
-    beta = np.asarray(beta, dtype=float).reshape(-1)
+    beta = _reals(beta)
     k = beta.size
     if k == 0 or np.any(beta <= 0.0):
         raise ValueError("squared norms must be strictly positive")
     rank = psd_rank(b.eigenvalues)
     if rank > k:
         raise RankTooLarge(f"rank {rank} operator cannot be carried by {k} vectors")
-    vectors, sigma = _leading(b, k)
-    return _factor(vectors, sigma, rotation_chain(sigma, beta))
+    return _realize(b, beta, rotation_chain)

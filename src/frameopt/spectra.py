@@ -19,10 +19,10 @@ assembles by ``SpectrumVec._trusted``, with no second test.  ``irregularity`` an
 ``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
 the trace thresholds where the rank bound starts to bite and where the level
 passes the top of the spectrum.  ``_check_trace`` owns the trace rule, which
-every entry point taking a trace applies before any kernel runs: t finite even
-times 1 + DEFAULT_TOL, which keeps c + TIE_TOL * t and tr(nu) finite (ValueError),
+every entry point taking a trace applies before any kernel runs: t real and finite
+even times 1 + DEFAULT_TOL, which keeps c + TIE_TOL * t and tr(nu) finite (ValueError),
 and at least tr(lam) * (1 - DEFAULT_TOL) (BadTrace), then clamped up to tr(lam);
-``in_lambda_set`` applies only the finiteness part.  The slack of the solvers
+``in_lambda_set`` applies only the real and finite part.  The slack of the solvers
 and of membership is DEFAULT_TOL times the trace.
 """
 
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadM, BadTrace, LengthMismatch
-from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec, spectrum_values
+from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec, _reals, spectrum_values
 
 
 class Regime(enum.Enum):
@@ -71,13 +71,15 @@ class NuBreakdown(NamedTuple):
     unique: bool
 
 
-def _check_trace(t: float, t0: float | None = None) -> None:
-    """The trace rule: t finite, also times 1 + DEFAULT_TOL (ValueError), and
-    t >= t0 * (1 - DEFAULT_TOL) (BadTrace)."""
+def _check_trace(t, t0: float | None = None) -> float:
+    """The trace rule, and t as a float: t real by ``_reals``' rule, finite, also times
+    1 + DEFAULT_TOL (ValueError), and t >= t0 * (1 - DEFAULT_TOL) (BadTrace)."""
+    t = float(t) if isinstance(t, (int, float)) else _reals(t).item()  # floats skip the array
     if not math.isfinite(t) or t * (1.0 + DEFAULT_TOL) == math.inf:
         raise ValueError(f"trace target must be finite, even times 1 + {DEFAULT_TOL}, got t = {t}")
     if t0 is not None and t < t0 * (1.0 - DEFAULT_TOL):
         raise BadTrace(f"trace target below tr(lambda) = {t0}")
+    return t
 
 
 def _check_m(values: np.ndarray, m) -> int:
@@ -140,7 +142,7 @@ def _waterfill(values: np.ndarray, m: int, tt: np.ndarray, sst: float | None = N
 def _solve(lam, m, t):
     values = spectrum_values(lam)
     mm = _check_m(values, m)
-    t0, tt = float(values.sum()), np.asarray(t, dtype=float).reshape(-1)
+    t0, tt = float(values.sum()), _reals(t)
     if tt.size:  # min and max carry a NaN, and the extremes of the rest
         _check_trace(float(tt.min()), t0)
         _check_trace(float(tt.max()))
@@ -209,8 +211,8 @@ def nu(lam, m: int, t) -> NuBreakdown:
 
 def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
     d = values.size
-    t0, t = float(np.add.reduce(values)), float(t)
-    _check_trace(t, t0)
+    t0 = float(np.add.reduce(values))
+    t = _check_trace(t, t0)
     t = t0 if t <= t0 else t  # as np.maximum: -0.0 becomes t0
     sst = sstst = None
     regime, unique = Regime.AT_OR_BELOW_S_STAR, True
@@ -253,11 +255,11 @@ def minimizer_is_unique(lam, m: int, t) -> bool:
     return _nu(values, _check_m(values, m), t).unique
 
 
-def _is_member(values: np.ndarray, m: int, t, mu_v: np.ndarray) -> bool:
-    tol = DEFAULT_TOL * max(float(t), float(np.add.reduce(values)))  # a member's trace tops both
+def _is_member(values: np.ndarray, m: int, t: float, mu_v: np.ndarray) -> bool:
+    tol = DEFAULT_TOL * max(t, float(np.add.reduce(values)))  # a member's trace tops both
     if not np.all(mu_v >= values - tol):
         return False
-    if mu_v.sum() < float(t) - tol:
+    if mu_v.sum() < t - tol:
         return False
     if m >= 1 and not np.all(mu_v[values.size - m :] <= values[:m] + tol):
         return False
@@ -272,9 +274,8 @@ def in_lambda_set(lam, m: int, t, mu) -> bool:
     ValueError for a non-finite t; a t below tr(lam) is allowed.
     """
     values = spectrum_values(lam)
-    mm = _check_m(values, m)
-    _check_trace(float(t))
-    mu_v = np.asarray(getattr(mu, "values", mu), dtype=float).reshape(-1)
+    mm, t = _check_m(values, m), _check_trace(t)
+    mu_v = _reals(mu)
     if mu_v.size != values.size:
         raise LengthMismatch(f"lengths differ: {mu_v.size} vs {values.size}")
     return _is_member(values, mm, t, spectrum_values(mu_v))
@@ -291,7 +292,7 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     ValueError for a non-finite or negative ``scale``.
     """
     values = spectrum_values(lam)
-    mm = _check_m(values, m)
+    mm, t = _check_m(values, m), _check_trace(t)  # _is_member reads t as a float
     minimal = _nu(values, mm, t).nu
     base = minimal.values
     d = values.size

@@ -1,5 +1,8 @@
 """Shared fixtures: reference frames printed to 4 digits, random generators."""
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,23 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def check_real_input_rule(call, x):
+    """``call`` reads its argument by the real-input rule, shown at the real x (a
+    scalar or a 1-d list): x plus 1j, as a complex ndarray or as np.complex128
+    values (a list of them for a list x), raises the one ValueError; with every
+    imaginary part exactly 0 it gives the bits of the real x, without a warning.
+    Results are compared as pickles, which hold every float's and array's bits."""
+    x = np.asarray(x, dtype=float)
+    listed = (lambda a: a[()]) if x.ndim == 0 else list  # np.complex128 or np.float64 values
+    for bad in (x + 1j, listed(x + 1j)):
+        with pytest.raises(ValueError, match="^entries must be real"):
+            call(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for real, zero in ((x, x + 0j), (listed(x), listed(x + 0j))):
+            assert pickle.dumps(call(zero)) == pickle.dumps(call(real))
 
 
 def mixed_toward_average(rng, lam, rounds=None, positive=False):

@@ -18,6 +18,7 @@ from frameopt.errors import DomainError, Infeasible, RankDeficient
 
 from conftest import (
     EJ1_SYNTHESIS,
+    check_real_input_rule,
     count_calls,
     frame_with_spectrum,
     random_unitary,
@@ -87,6 +88,10 @@ class TestPlan:
             CompletionProblem(ej1_frame, [1.0, -1.0])
         with pytest.raises(ValueError):
             CompletionProblem(ej1_frame, [])
+
+    def test_beta_is_read_by_the_real_input_rule(self, ej1_frame):
+        # CompletionProblem(F, [1 + 1j]) once kept beta = [1]
+        check_real_input_rule(lambda b: complete(CompletionProblem(ej1_frame, b)), [3.0, 2.5])
 
 
 class TestOptimalB:
@@ -248,6 +253,9 @@ class TestLowerBound:
     def test_constant_spectrum(self):
         assert trace_f(np.full(4, 2.0), PotentialKind.FRAME_POTENTIAL) == pytest.approx(16.0)
         assert trace_f(np.full(4, 2.0), PotentialKind.MEAN_SQUARE_ERROR) == pytest.approx(2.0)
+
+    def test_spectrum_is_read_by_the_real_input_rule(self):
+        check_real_input_rule(lower_bounds, [9.0, 5.0, 4.25, 4.25, 4.0])
 
 
 def _random_alternative(rng, frame, beta):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frameopt import Frame, HermitianPSD, eig_hermitian
-from frameopt.core_linalg import _fix_phases, givens_left, null_space_onb
+from frameopt.core_linalg import _fix_phases, givens_left, null_space_onb, psd_rank
 from frameopt.errors import (
     IndexOutOfRange,
     NotHermitian,
@@ -15,6 +15,7 @@ from frameopt.errors import (
 from conftest import (
     DUAL_SYNTHESIS,
     EJ1_SYNTHESIS,
+    check_real_input_rule,
     fix_phases_loop,
     random_hermitian,
     random_psd,
@@ -275,6 +276,11 @@ class TestHermitianPSD:
         op = HermitianPSD.from_eigensystem([1.0, 3.0], np.eye(2))
         assert op.eigenvalues.values.tolist() == [3.0, 1.0]
         assert np.allclose(op.matrix, np.diag([1.0, 3.0]))
+
+    def test_eigenvalues_are_read_by_the_real_input_rule(self):
+        q = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
+        check_real_input_rule(lambda w: HermitianPSD.from_eigensystem(w, q), [1.0, 3.0, 0.5])
+        check_real_input_rule(psd_rank, [3.0, 1.0, 1e-12])
 
 
 class TestGivensLeft:

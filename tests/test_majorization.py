@@ -12,6 +12,8 @@ from frameopt import (
 )
 from frameopt.errors import DomainError, LengthMismatch
 
+from conftest import check_real_input_rule
+
 
 class TestSortDesc:
     def test_basic(self):
@@ -178,6 +180,25 @@ class TestSpectrumVec:
         assert SpectrumVec(inside).values.tolist() == inside
         with pytest.raises(ValueError, match="nonincreasing"):
             SpectrumVec([top, scale, scale + 1.1 * slack])
+
+
+_REAL_VECTOR_READERS = {
+    "SpectrumVec": SpectrumVec,
+    "sort_desc": sort_desc,
+    "majorizes y": lambda v: majorizes(v, [2.0, 2.0, 2.0]),
+    "majorizes x": lambda v: majorizes([3.0, 2.0, 1.0], v),
+    "submajorizes y": lambda v: submajorizes(v, [2.0, 2.0, 1.5]),
+    "submajorizes x": lambda v: submajorizes([3.0, 2.0, 1.0], v),
+    "entrywise_leq x": lambda v: entrywise_leq(v, [3.0, 2.5, 1.0]),
+    "entrywise_leq y": lambda v: entrywise_leq([2.0, 2.0, 1.0], v),
+    "trace_f": lambda v: trace_f(v, PotentialKind.NEG_ENTROPY),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REAL_VECTOR_READERS))
+def test_vectors_are_read_by_the_real_input_rule(entry):
+    # a float cast once dropped a nonzero imaginary part with only a ComplexWarning
+    check_real_input_rule(_REAL_VECTOR_READERS[entry], [3.0, 2.0, 1.0])
 
 
 def test_entrywise_implies_submajorized(rng):

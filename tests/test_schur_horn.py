@@ -13,7 +13,7 @@ from frameopt import (
 )
 from frameopt.errors import DomainError, LengthMismatch, NotMajorized, RankTooLarge
 
-from conftest import mixed_toward_average, random_psd
+from conftest import check_real_input_rule, mixed_toward_average, random_psd
 
 
 def _diag_of_conjugation(u, lam):
@@ -52,6 +52,12 @@ class TestUnitaryForDiagonal:
             unitary_for_diagonal([2.0, 1.0], [1.5, 1.0])  # trace gap
         with pytest.raises(LengthMismatch):  # as the majorization predicates
             rotation_chain([2.0, 1.0], [1.5, 1.0, 0.5])
+
+    def test_spectrum_and_target_are_read_by_the_real_input_rule(self):
+        lam, target = [4.0, 2.0, 0.0], [1.0, 2.0, 3.0]
+        check_real_input_rule(lambda v: unitary_for_diagonal(v, target), lam)
+        check_real_input_rule(lambda v: unitary_for_diagonal(lam, v), target)
+        check_real_input_rule(lambda v: rotation_chain(lam, v), target)
 
     def test_rotation_count_bound(self, rng):
         for _ in range(50):
@@ -155,6 +161,11 @@ class TestRealizeFrame:
         scale = 1.0 + np.linalg.norm(b.matrix)
         assert np.linalg.norm(g @ g.conj().T - b.matrix) <= 1e-8 * scale
         assert np.max(np.abs(np.sum(np.abs(g) ** 2, axis=0) - beta)) <= 1e-9
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_beta_is_read_by_the_real_input_rule(self, rng, cplx):
+        b = HermitianPSD(random_psd(rng, 3, rank=2, cplx=cplx))
+        check_real_input_rule(lambda beta: realize_frame(b, beta), np.full(3, b.trace() / 3.0))
 
     def test_real_input_keeps_real_output(self, rng):
         b = HermitianPSD(random_psd(rng, 3, rank=2))

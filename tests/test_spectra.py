@@ -21,7 +21,13 @@ from frameopt import (
 )
 from frameopt.errors import BadM, BadTrace, LengthMismatch
 
-from conftest import count_calls, random_psd, random_spectrum, random_unitary
+from conftest import (
+    check_real_input_rule,
+    count_calls,
+    random_psd,
+    random_spectrum,
+    random_unitary,
+)
 
 LAM_A = [9.0, 5.0, 4.0, 2.0, 1.0]
 LAM_B = [7.0, 4.0, 4.0, 3.0, 1.0]
@@ -297,7 +303,11 @@ _TRACE_ENTRY_POINTS = {
     "optimal_dual": lambda t: fo.optimal_dual(
         fo.DualProblem(fo.Frame(np.hstack([np.eye(3), np.eye(3)])), t)
     ),
+    "optimal_dual_spectrum": lambda t: fo.optimal_dual_spectrum(
+        fo.DualProblem(fo.Frame(np.hstack([np.eye(3), np.eye(3)])), t)
+    ),
 }
+_BATCH_ENTRY_POINTS = ["irregularity", "c_lambda", "r_lambda_m", "c_lambda_m"]
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, np.array(np.nan), np.finfo(float).max],
@@ -317,7 +327,7 @@ def test_every_entry_point_rejects_a_non_finite_trace(entry, t):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entry", ["irregularity", "c_lambda", "r_lambda_m", "c_lambda_m"])
+@pytest.mark.parametrize("entry", _BATCH_ENTRY_POINTS)
 def test_one_non_finite_trace_fails_the_whole_batch(entry, bad):
     grid = np.array([19.0, 24.0, bad, 30.0])
     with warnings.catch_warnings():
@@ -327,6 +337,22 @@ def test_one_non_finite_trace_fails_the_whole_batch(entry, bad):
     with pytest.raises(BadTrace):  # a finite batch still meets the floor at its min
         _TRACE_ENTRY_POINTS[entry](np.array([24.0, 18.0]))
     assert _TRACE_ENTRY_POINTS[entry](np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("entry", sorted(_TRACE_ENTRY_POINTS))
+def test_every_entry_point_reads_a_real_trace(entry):
+    # float(t) once read np.complex128(24 + 1j) as 24, with only a ComplexWarning
+    check_real_input_rule(_TRACE_ENTRY_POINTS[entry], 24.0)
+
+
+@pytest.mark.parametrize("entry", _BATCH_ENTRY_POINTS)
+def test_batches_of_traces_are_read_by_the_real_input_rule(entry):
+    check_real_input_rule(_TRACE_ENTRY_POINTS[entry], [19.0, 24.0, 30.0])
+
+
+def test_spectra_are_read_by_the_real_input_rule():
+    # through SpectrumVec: nu([2 + 5j, 1], 0, 4) once returned nu = [2, 2]
+    check_real_input_rule(lambda lam: nu(lam, 2, 24.0), LAM_B)
 
 
 def test_nu_matches_batched_cutoff_and_level(rng):
@@ -432,6 +458,11 @@ class TestMembership:
         # an infinite slack DEFAULT_TOL * t once accepted the base point at t = inf
         with pytest.raises(ValueError, match="^trace target must be finite"):
             in_lambda_set([2.0, 1.0], 0, t, [2.0, 1.0])
+
+    def test_mu_and_t_are_read_by_the_real_input_rule(self):
+        # in_lambda_set([2, 1], 0, 3, [2 + 9j, 1]) once returned True
+        check_real_input_rule(lambda mu: in_lambda_set([2.0, 1.0], 1, 3.0, mu), [2.0, 1.0])
+        check_real_input_rule(lambda t: in_lambda_set([2.0, 1.0], 1, t, [2.0, 1.5]), 3.0)
 
     def test_nu_is_always_a_member(self, rng):
         # at every scale: an absolute slack once rejected nu at 1e10
