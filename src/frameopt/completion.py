@@ -20,8 +20,8 @@ import numpy as np
 from .core_linalg import HermitianPSD, psd_rank
 from .errors import Infeasible, RankDeficient
 from .frames import Frame, frame_operator, frame_to_json
-from .majorization import SpectrumVec, _reals
-from .schur_horn import _chain, _reachable, _realize
+from .majorization import SpectrumVec, _reals, majorizes
+from .schur_horn import _chain, _realize
 from .spectra import NuBreakdown, nu
 
 
@@ -83,7 +83,7 @@ class CompletionResult:
 def plan(problem: CompletionProblem) -> CompletionPlan:
     """Compute the optimal target spectrum and test feasibility.
 
-    Feasible iff Schur-Horn's ``_reachable`` holds of mu_hat padded with zeros and beta.
+    Feasible iff beta is majorized by mu_hat padded with zeros: ``rotation_chain``'s test.
     Raises RankDeficient when rank(S_F0) < d - k, which no completion by k vectors can repair.
     """
     s0 = frame_operator(problem.initial)
@@ -100,7 +100,7 @@ def plan(problem: CompletionProblem) -> CompletionPlan:
         c_hat=breakdown.c,
         mu_hat=mu_hat,
         nu=breakdown.nu,
-        feasible=_reachable(padded, problem.beta),
+        feasible=majorizes(padded, problem.beta),
         unique_B=breakdown.unique,
         breakdown=breakdown,
     )
@@ -140,7 +140,7 @@ def complete(problem: CompletionProblem) -> CompletionResult:
     """Solve the completion problem; infeasibility is a result, not an error.
 
     Adds ``realize_frame(optimal_B(S_F0, plan), beta)`` without its checks:
-    rank(B) <= d - r_hat <= k, and ``plan`` asked ``_reachable`` of this sigma.
+    rank(B) <= d - r_hat <= k, and ``plan`` asked ``majorizes`` of this sigma.
     """
     completion_plan = plan(problem)
     bounds = lower_bounds(completion_plan.nu)

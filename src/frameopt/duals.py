@@ -108,18 +108,18 @@ def tight_dual_exists(frame: Frame) -> bool:
     return m <= 0 or bool((s[-m] / s[0]) ** 2 - (s[-1] / s[0]) ** 2 <= DEFAULT_TOL)
 
 
-def parseval_dual_exists(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
+def parseval_dual_exists(frame: Frame) -> bool:
     """Whether some dual of the frame has identity frame operator.
 
     For n >= 2d this is S_F >= I; otherwise the m = 2d - n smallest
-    frame-operator eigenvalues must all equal 1 exactly.  ``tol`` is
-    absolute: the comparison is against the identity, whose scale is 1.
+    frame-operator eigenvalues must all equal 1, each within DEFAULT_TOL:
+    the comparison is against the identity, whose scale is 1.
     """
     s, m = _singular_values(frame)
     w = s**2
     if m <= 0:
-        return bool(w[-1] >= 1.0 - tol)
-    return bool(abs(w[-m] - 1.0) <= tol and abs(w[-1] - 1.0) <= tol)
+        return bool(w[-1] >= 1.0 - DEFAULT_TOL)
+    return bool(abs(w[-m] - 1.0) <= DEFAULT_TOL and abs(w[-1] - 1.0) <= DEFAULT_TOL)
 
 
 def dual_to_json(result: DualResult) -> dict:

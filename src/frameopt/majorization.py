@@ -18,10 +18,10 @@ from .errors import DomainError, LengthMismatch
 
 # Tolerance factors: every slack is one of them times the scale of what it
 # compares (a norm, top eigenvalue or trace, never 1 + scale), so answers
-# follow a rescaling F -> aF.  The solvers, Schur-Horn and ``in_lambda_set``
-# take no ``tol``: theirs is DEFAULT_TOL times a trace (the spectrum's, or t).
-# The predicates here take an absolute ``tol``: only the caller knows the scale.
-DEFAULT_TOL = 1e-9  # solver slack, predicate default; traces, spectrum order and sign
+# follow a rescaling F -> aF.  No public function takes a ``tol``: DEFAULT_TOL is
+# scaled by a trace in the solvers, Schur-Horn and ``in_lambda_set``, by ||y||_1 or
+# max|entry| in the predicates here, and by 1 in ``parseval_dual_exists`` (against I).
+DEFAULT_TOL = 1e-9  # solver and predicate slack; traces, spectrum order and sign
 TIE_TOL = 1e-12  # waterfilling ties, the increment cut, unit rotations
 PSD_TOL = 1e-10  # symmetry, positive semidefiniteness, numerical rank
 GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality test
@@ -36,6 +36,11 @@ def _reals(x) -> np.ndarray:
             raise ValueError("entries must be real, got a nonzero imaginary part")
         v = v.real.copy()
     return np.asarray(v, dtype=float).reshape(-1)
+
+
+def _real(x) -> float:
+    """x (a number, or a 1-element array-like) as a float, by ``_reals``' rule."""
+    return float(x) if isinstance(x, (int, float)) else _reals(x).item()  # floats skip the array
 
 
 class SpectrumVec:
@@ -91,9 +96,7 @@ class SpectrumVec:
 
 def spectrum_values(x) -> np.ndarray:
     """Coerce a SpectrumVec or array-like spectrum to its validated ndarray."""
-    if isinstance(x, SpectrumVec):
-        return x.values
-    return SpectrumVec(x).values
+    return x.values if isinstance(x, SpectrumVec) else SpectrumVec(x).values
 
 
 class PotentialKind(enum.Enum):
@@ -119,31 +122,40 @@ def _pair(x, y):
     return xv, yv
 
 
-def _prefix_sums_within(y, x, tol: float):
-    """Descending rearrangements of x and y, and whether every prefix sum of
-    x's is at most y's plus tol.  Lengths and finiteness are checked first."""
+def _prefix_sums_within(y, x):
+    """Descending rearrangements of x and y, the slack DEFAULT_TOL * ||y||_1, and whether every
+    prefix sum of x's is at most y's plus it.  Lengths and finiteness are checked first, then
+    an ||y||_1 that overflows raises DomainError: that slack would accept any x."""
     xv, yv = _pair(x, y)
     xs, ys = sort_desc(xv), sort_desc(yv)
-    return xs, ys, bool((np.cumsum(xs) <= np.cumsum(ys) + tol).all())
+    with np.errstate(over="ignore"):  # an x whose prefix sum overflows is not within
+        tol = DEFAULT_TOL * float(np.add.reduce(np.abs(yv)))
+        if tol == math.inf:
+            raise DomainError("the 1-norm of y overflows")
+        return xs, ys, tol, bool((np.cumsum(xs) <= np.cumsum(ys) + tol).all())
 
 
-def submajorizes(y, x, tol: float = DEFAULT_TOL) -> bool:
+def submajorizes(y, x) -> bool:
     """True iff x is submajorized by y: every k-prefix sum of the descending
-    rearrangement of x is at most that of y, within tol."""
-    return _prefix_sums_within(y, x, tol)[2]
+    rearrangement of x is at most that of y, within DEFAULT_TOL * ||y||_1."""
+    return _prefix_sums_within(y, x)[3]
 
 
-def majorizes(y, x, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x is majorized by y: submajorized plus equal trace within tol
-    (the traces are summed over the descending rearrangements)."""
-    xs, ys, within = _prefix_sums_within(y, x, tol)
+def majorizes(y, x) -> bool:
+    """True iff x is majorized by y: submajorized plus equal trace within
+    DEFAULT_TOL * ||y||_1 (the traces are summed over the descending rearrangements)."""
+    xs, ys, tol, within = _prefix_sums_within(y, x)
     return within and not abs(float(np.add.reduce(xs)) - float(np.add.reduce(ys))) > tol
 
 
-def entrywise_leq(x, y, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x_i <= y_i + tol for every position i."""
+def entrywise_leq(x, y) -> bool:
+    """True iff every x_i <= y_i + DEFAULT_TOL * max|entry|; ValueError for a non-finite one."""
     xv, yv = _pair(x, y)
-    return bool(np.all(xv <= yv + tol))
+    top = float(np.maximum.reduce(np.abs(np.concatenate((xv, yv))), initial=0.0))
+    if not math.isfinite(top):  # NaN and +-inf propagate through max
+        raise ValueError("entries must be finite")
+    with np.errstate(over="ignore"):  # a y_i + slack past the float range is inf, above x_i
+        return bool(np.all(xv <= yv + DEFAULT_TOL * top))
 
 
 def trace_f(x, kind: PotentialKind) -> float:

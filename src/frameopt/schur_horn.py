@@ -2,7 +2,7 @@
 
 ``rotation_chain`` produces at most k - 1 plane rotations that conjugate
 diag(spectrum) into a matrix with a given diagonal (possible exactly when
-the target is majorized by the spectrum: ``_reachable``, which ``plan`` asks
+the target is majorized by the spectrum: ``majorizes``, which ``plan`` asks
 too), pinning one diagonal entry per rotation.  ``_rotate`` applies them to
 k rows: of the identity in ``unitary_for_diagonal``, and of (V diag(sigma)^1/2)^T
 in ``realize_frame``, which so factors a PSD operator into k vectors of
@@ -16,20 +16,8 @@ import math
 import numpy as np
 
 from .core_linalg import HermitianPSD, _fix_phases, psd_rank
-from .errors import DomainError, NotMajorized, RankTooLarge
-from .majorization import DEFAULT_TOL, _reals, majorizes, spectrum_values
-
-
-def _reachable(spectrum: np.ndarray, target) -> bool:
-    """Whether ``target`` is majorized by ``spectrum`` within DEFAULT_TOL * tr(spectrum).
-
-    DomainError when tr(spectrum) overflows: an infinite slack would accept any target.
-    """
-    with np.errstate(over="ignore"):
-        trace = float(np.add.reduce(spectrum))
-    if trace == math.inf:
-        raise DomainError("spectrum trace overflows")
-    return majorizes(spectrum, target, DEFAULT_TOL * trace)
+from .errors import NotMajorized, RankTooLarge
+from .majorization import _reals, majorizes, spectrum_values
 
 
 def rotation_chain(spectrum, target):
@@ -48,11 +36,12 @@ def rotation_chain(spectrum, target):
     rotation.  The chain is deterministic and numerically gentle.
 
     Raises NotMajorized unless target is majorized by spectrum within
-    DEFAULT_TOL * tr(spectrum), and LengthMismatch on unequal lengths.
+    DEFAULT_TOL * tr(spectrum) (``majorizes``), LengthMismatch on unequal
+    lengths, and DomainError when tr(spectrum) overflows.
     """
     lam = spectrum_values(spectrum)
     tgt = _reals(target)
-    if not _reachable(lam, tgt):
+    if not majorizes(lam, tgt):
         raise NotMajorized("target diagonal is not majorized by the spectrum")
     return _chain(lam, tgt)
 

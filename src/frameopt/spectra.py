@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadM, BadTrace, LengthMismatch
-from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec, _reals, spectrum_values
+from .majorization import DEFAULT_TOL, TIE_TOL, SpectrumVec, _real, _reals, spectrum_values
 
 
 class Regime(enum.Enum):
@@ -74,7 +74,7 @@ class NuBreakdown(NamedTuple):
 def _check_trace(t, t0: float | None = None) -> float:
     """The trace rule, and t as a float: t real by ``_reals``' rule, finite, also times
     1 + DEFAULT_TOL (ValueError), and t >= t0 * (1 - DEFAULT_TOL) (BadTrace)."""
-    t = float(t) if isinstance(t, (int, float)) else _reals(t).item()  # floats skip the array
+    t = _real(t)
     if not math.isfinite(t) or t * (1.0 + DEFAULT_TOL) == math.inf:
         raise ValueError(f"trace target must be finite, even times 1 + {DEFAULT_TOL}, got t = {t}")
     if t0 is not None and t < t0 * (1.0 - DEFAULT_TOL):
@@ -289,16 +289,15 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     by construction (verified; falls back to the minimal spectrum itself).
     ``scale`` defaults to a quarter of the minimal spectrum's top entry, so
     samples follow a rescaling of lam and t; ``scale=0`` returns it unchanged.
-    ValueError for a non-finite or negative ``scale``.
+    ``scale`` is real by ``_reals``' rule; ValueError for a non-finite or negative one.
     """
     values = spectrum_values(lam)
     mm, t = _check_m(values, m), _check_trace(t)  # _is_member reads t as a float
     minimal = _nu(values, mm, t).nu
     base = minimal.values
     d = values.size
-    if scale is None:
-        scale = 0.25 * float(base[0])
-    elif not 0.0 <= scale < math.inf:  # NaN fails both
+    scale = 0.25 * float(base[0]) if scale is None else _real(scale)
+    if not 0.0 <= scale < math.inf:  # NaN fails both
         raise ValueError(f"scale must be finite and nonnegative, got {scale}")
     if scale == 0.0:
         return minimal

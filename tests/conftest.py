@@ -108,9 +108,10 @@ def null_space_onb(m):
     return fix_phases_loop(np.linalg.svd(m)[2][m.shape[0]:].conj().T)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper; returns the list of its calls' kwargs."""
-    calls = []
+def count_calls(monkeypatch, owner, name, calls=None):
+    """Replace owner.name by a wrapper; returns the list of its calls' kwargs (``calls``,
+    if given, so that one list can count a function under several owners)."""
+    calls = [] if calls is None else calls
     real = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
@@ -119,6 +120,15 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def prefix_sums_within(y, x, tol, equal_trace=False):
+    """Reference (sub)majorization at an absolute ``tol``: every prefix sum of x sorted
+    descending is at most y's plus tol, and with ``equal_trace`` the totals differ by at
+    most tol.  It holds the library's predicates to a caller's fixed slack."""
+    cx = np.cumsum(np.sort(np.asarray(getattr(x, "values", x), dtype=float))[::-1])
+    cy = np.cumsum(np.sort(np.asarray(getattr(y, "values", y), dtype=float))[::-1])
+    return bool(np.all(cx <= cy + tol)) and (not equal_trace or abs(cx[-1] - cy[-1]) <= tol)
 
 
 def check_real_input_rule(call, x):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from frameopt import (
 )
 from frameopt.errors import DomainError, LengthMismatch
 
-from conftest import check_real_input_rule
+from conftest import check_real_input_rule, prefix_sums_within
 
 
 class TestSortDesc:
@@ -33,12 +35,13 @@ class TestSortDesc:
 
 class TestSubmajorizes:
     def test_reference_feasible_pair(self):
-        assert submajorizes([2.25, 3.25], [3.0, 2.5], 1e-9)
+        y, x = [2.25, 3.25], [3.0, 2.5]
+        assert submajorizes(y, x) and prefix_sums_within(y, x, 1e-9)
         # traces agree, so this is full majorization too
-        assert majorizes([2.25, 3.25], [3.0, 2.5], 1e-9)
+        assert majorizes(y, x) and prefix_sums_within(y, x, 1e-9, equal_trace=True)
 
     def test_reference_infeasible_pair(self):
-        assert not submajorizes([2.25, 3.25], [3.5, 2.0], 1e-9)
+        assert not submajorizes([2.25, 3.25], [3.5, 2.0])
 
     def test_reflexive(self):
         x = [4.0, 2.0, 1.0]
@@ -65,7 +68,7 @@ class TestMajorizes:
         assert not majorizes([3.0, 1.0], [2.0, 1.0])
 
 
-@pytest.mark.parametrize("predicate", [majorizes, submajorizes])
+@pytest.mark.parametrize("predicate", [majorizes, submajorizes, entrywise_leq])
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_raises_on_either_side(self, predicate, bad):
@@ -88,6 +91,23 @@ class TestEntrywise:
 
     def test_not_leq(self):
         assert not entrywise_leq([3.0, 1.0], [2.0, 2.0])
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+    def test_slack_follows_the_largest_entry(self, scale):
+        # DEFAULT_TOL * max|entry| = 2e-9 * scale: an absolute 1e-9 once made
+        # 2^-40 * [2, 1] <= 2^-40 * [1, 1] true
+        y = scale * np.array([2.0, 1.0])
+        assert not entrywise_leq(y, scale * np.array([1.0, 1.0]))
+        assert entrywise_leq(scale * np.array([2.0 + 1.9e-9, 1.0]), y)
+        assert not entrywise_leq(scale * np.array([2.0 + 2.1e-9, 1.0]), y)
+
+    def test_no_warning_near_the_float_maximum(self):
+        top = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entrywise_leq([top, -top], [top, top])
+            assert not entrywise_leq([top, top], [top, -top])
+            assert entrywise_leq([], [])
 
 
 class TestTraceF:

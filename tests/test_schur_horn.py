@@ -13,7 +13,7 @@ from frameopt import (
 )
 from frameopt.errors import DomainError, LengthMismatch, NotMajorized, RankTooLarge
 
-from conftest import check_real_input_rule, mixed_toward_average, random_psd
+from conftest import check_real_input_rule, mixed_toward_average, prefix_sums_within, random_psd
 
 
 def _diag_of_conjugation(u, lam):
@@ -241,7 +241,8 @@ def test_norms_of_any_family_are_majorized_by_operator_spectrum(rng):
         sigma[:d] = np.maximum(w, 0.0)
         norms = np.zeros(max(d, k))
         norms[:k] = np.sum(np.abs(g) ** 2, axis=0)
-        assert fo.majorizes(sigma, norms, 1e-8)
+        assert fo.majorizes(sigma, norms)
+        assert prefix_sums_within(sigma, norms, 1e-8, equal_trace=True)
 
 
 # Exact chains: (i, j, c.hex(), s.hex()) per rotation, then rows.  The chain
@@ -302,6 +303,13 @@ def test_overflowing_spectrum_trace_raises_without_warning():
     # tr = 2e308 is inf: a slack of DEFAULT_TOL * inf would accept any target
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for predicate in (fo.majorizes, fo.submajorizes):
+            with pytest.raises(DomainError, match="overflows"):
+                predicate([1e308, 1e308], [0.0, 0.0])
+            with pytest.raises(DomainError, match="overflows"):  # ||y||_1, not its sum
+                predicate([1e308, -1e308], [0.0, 0.0])
+            # an x whose sums overflow is no error: it is not majorized
+            assert not predicate([1.0, 1.0], [1e308, 1e308])
         with pytest.raises(DomainError, match="overflows"):
             rotation_chain([1e308, 1e308], [0.0, 0.0])
         with pytest.raises(DomainError, match="overflows"):

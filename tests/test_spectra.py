@@ -24,6 +24,7 @@ from frameopt.errors import BadM, BadTrace, LengthMismatch
 from conftest import (
     check_real_input_rule,
     count_calls,
+    prefix_sums_within,
     random_psd,
     random_spectrum,
     random_unitary,
@@ -498,6 +499,10 @@ class TestSampler:
         with pytest.raises(ValueError, match="^scale must be finite and nonnegative"):
             sample_lambda_set(LAM_A, 3, 26.5, rng_seed=5, scale=scale)
 
+    def test_scale_is_read_by_the_real_input_rule(self):
+        # the parse once took np.complex128(0.5 + 1j) as 0.5, with no error
+        check_real_input_rule(lambda s: sample_lambda_set(LAM_A, 3, 26.5, 5, scale=s), 0.5)
+
     def test_upward_mass_without_rank_bound(self):
         mu = sample_lambda_set(LAM_A, 0, 24.0, rng_seed=11, scale=10.0)
         assert in_lambda_set(LAM_A, 0, 24.0, mu)
@@ -514,7 +519,7 @@ def test_minimality_of_nu(rng):
         minimal = nu(lam, m, t).nu
         for seed in range(8):
             mu = sample_lambda_set(lam, m, t, rng_seed=seed)
-            assert submajorizes(mu, minimal, 1e-9)
+            assert submajorizes(mu, minimal) and prefix_sums_within(mu, minimal, 1e-9)
 
 
 def test_equal_trace_minimizer_is_unique(rng):
@@ -549,8 +554,8 @@ def test_equal_trace_minimizer_is_unique(rng):
             continue
         found += 1
         assert in_lambda_set(lam, m, t, moved)
-        assert submajorizes(moved, nu(lam, m, t).nu, 1e-9)
-        assert not submajorizes(nu(lam, m, t).nu, moved, 1e-9)
+        assert submajorizes(moved, base) and prefix_sums_within(moved, base, 1e-9)
+        assert not submajorizes(base, moved)
     assert found > 50
 
 

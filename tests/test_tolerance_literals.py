@@ -6,6 +6,7 @@ code names the constant instead.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import frameopt
@@ -43,3 +44,13 @@ def test_small_float_literals_only_in_the_tolerance_table():
                 stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not stray, "tolerance literals outside majorization.py's table: " + ", ".join(stray)
 
+
+def test_no_public_callable_takes_a_tol():
+    # every slack is a table factor times the scale of the inputs: no caller picks one
+    takers = [
+        name
+        for name in frameopt.__all__
+        if callable(obj := getattr(frameopt, name))
+        and "tol" in inspect.signature(obj).parameters
+    ]
+    assert not takers, takers

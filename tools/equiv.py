@@ -22,10 +22,12 @@ mean equal bits.  Under ``worst``, the object also holds the largest
 certificate of each family that has them, as ``perfbench/check.py`` defines
 them against its numpy reference: for ``complete``, ``spectrum_rel`` (the
 completed spectrum and the reported nu against the reference nu) and
-``norm_rel`` (the added squared norms against beta); for ``dual``'s optimal
+``norm_rel`` (the added squared norms against beta); for ``nu-grid``,
+``spectrum_rel`` (each nu against ``gen.ref_nu``'s); for ``dual``'s optimal
 duals, ``duality_rel`` (||W F* - I|| relative), ``spectrum_rel`` (spec(W W*)
-and the reported nu against the reference nu) and ``kernel_orth``.  They say
-how far outputs that differ in their bits are from the answer.
+and the reported nu against the reference nu) and ``kernel_orth``; for
+``cli``, ``complete``'s certificates on what its ``complete`` invocations
+print.  They say how far outputs that differ in their bits are from the answer.
 """
 
 from __future__ import annotations
@@ -149,21 +151,26 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 20261017])
     seeds = parser.parse_args().seeds
     hashes = {name: hashlib.sha256() for name in ("complete", "nu-grid", "dual", "cli")}
-    worst: dict = {"complete": {}, "dual": {}}
+    worst: dict = {name: {} for name in hashes}
     for inst in _pools("complete", seeds):
         out = _record(hashes["complete"], lambda: _complete(inst))
         if out is not None:
             feasible, nu_values, *_, added, _ = out
             _certify(worst["complete"], check.check_completion(inst, feasible, nu_values, added))
     for inst in _pools("nu-grid", seeds):
-        for t in inst["ts"]:
-            _record(hashes["nu-grid"], lambda: _breakdown(inst["lam"], inst["m"], t))
+        for t, nu_ref in zip(inst["ts"], inst["nu"]):
+            out = _record(hashes["nu-grid"], lambda: _breakdown(inst["lam"], inst["m"], t))
+            if out is not None:
+                _certify(worst["nu-grid"], check.check_nu({"nu": nu_ref}, out.nu))
     for frame in _dual_corpus():
         _record(hashes["dual"], lambda: _dual(frame, worst["dual"]))
     with tempfile.TemporaryDirectory() as workdir:
         for seed in seeds:
             for i, inst in enumerate(gen.make_pool("cli", seed)):
-                _feed(hashes["cli"], _cli(Path(workdir), i, inst))
+                code, out, err = _cli(Path(workdir), i, inst)
+                _feed(hashes["cli"], (code, out, err))
+                if inst["cmd"] == "complete":
+                    _certify(worst["cli"], check.check_cli(inst, code, out))
     digest = {name: h.hexdigest()[:16] for name, h in hashes.items()}
     worst = {family: {name: float(np.max(values)) for name, values in certs.items()}
              for family, certs in worst.items()}
