@@ -98,24 +98,19 @@ def _load_frame(arg: str) -> Frame:
     return frame_from_json(obj)
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    value = float(x)
-    if math.isinf(value):
-        return '"inf"' if value > 0 else '"-inf"'
-    return format(value, ".12g")
-
-
 def _emit(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (bool, int, float)):
-        return _fmt_number(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return format(obj, ".12g")
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -184,10 +179,7 @@ def _cmd_check_dual(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    frame = _load_frame(args.frame)
-    kind = PotentialKind(args.kind)
-    value = potential(frame, kind)
-    sys.stdout.write(_fmt_number(value) + "\n")
+    _print(potential(_load_frame(args.frame), PotentialKind(args.kind)))
     return EXIT_OK
 
 

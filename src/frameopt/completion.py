@@ -20,20 +20,20 @@ import numpy as np
 from .core_linalg import HermitianPSD, psd_rank
 from .errors import Infeasible, RankDeficient
 from .frames import Frame, frame_operator, frame_to_json
-from .majorization import SpectrumVec, _reals, majorizes
+from .majorization import PotentialKind, SpectrumVec, _reals, majorizes, trace_f
 from .schur_horn import _chain, _realize
 from .spectra import NuBreakdown, nu
 
 
 @dataclass(frozen=True)
 class CompletionProblem:
-    """Initial family plus the squared norms prescribed for the new vectors."""
+    """Initial family plus the squared norms ``beta`` for the new vectors, kept as a read-only copy."""
 
     initial: Frame
     beta: np.ndarray
 
     def __post_init__(self):
-        arr = _reals(self.beta)
+        arr = _reals(self.beta).copy()  # a view would follow later writes to the caller's array
         if arr.size == 0 or np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
             raise ValueError("prescribed squared norms must be finite and positive")
         arr.flags.writeable = False
@@ -126,14 +126,12 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
     """Frame-potential and mean-square-error values of the minimal spectrum.
 
     Every completion's potential is at least these, with equality when the
-    problem is feasible.  ``trace_f`` of each kind, bit for bit, with MSE's
-    DomainError read as inf (a singular spectrum).
+    problem is feasible.  Each is ``trace_f`` of its kind, except that MSE
+    is inf on a singular spectrum, where ``trace_f`` raises DomainError.
     """
     v = _reals(nu_spectrum)
-    with np.errstate(over="ignore"):  # as trace_f: an overflowing sum is inf
-        fp = float(np.sum(v * v))
-        mse = math.inf if np.minimum.reduce(v) <= 0.0 else float(np.sum(1.0 / v))
-    return {"fp": fp, "mse": mse}
+    mse = math.inf if np.minimum.reduce(v) <= 0.0 else trace_f(v, PotentialKind.MEAN_SQUARE_ERROR)
+    return {"fp": trace_f(v, PotentialKind.FRAME_POTENTIAL), "mse": mse}
 
 
 def complete(problem: CompletionProblem) -> CompletionResult:

@@ -44,12 +44,10 @@ class DualResult:
 
 
 def _solve_spectrum(problem: DualProblem):
-    """S_F^{-1} and the minimal spectrum at the trace bound."""
-    if problem.frame.n <= problem.frame.d:
-        raise InsufficientCorank(
-            "a basis has no redundancy: its only dual is the canonical dual"
-        )
+    """S_F^{-1} and the minimal spectrum at the trace bound; the spanning gate comes first."""
     sinv = inverse_operator(problem.frame)
+    if problem.frame.n == problem.frame.d:
+        raise InsufficientCorank("a basis has no redundancy: its only dual is the canonical dual")
     return sinv, nu(sinv.eigenvalues, problem.m, problem.t)
 
 
@@ -73,12 +71,11 @@ def optimal_dual(problem: DualProblem) -> DualResult:
     d = problem.frame.d
     sinv, breakdown = _solve_spectrum(problem)
     lam, h, kept = sinv.eigenvalues, sinv.eigenvectors, breakdown.kept
-    q = d - kept
+    q = d - kept  # at least 1: r <= d - 1, and m = 2d - n <= d - 1 as n > d
     synthesis = canonical_dual(problem.frame).synthesis
-    if q > 0:
-        vh = _svd(problem.frame)[2]  # the SVD canonical_dual read
-        kernel = _fix_phases(vh[d : d + q].conj().T.copy())  # the u_i
-        synthesis = synthesis + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel.conj().T
+    vh = _svd(problem.frame)[2]  # the SVD canonical_dual read
+    kernel = _fix_phases(vh[d : d + q].conj().T.copy())  # the u_i
+    synthesis = synthesis + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel.conj().T
     operator = HermitianPSD._trusted(
         np.concatenate((lam.values[:kept], np.full(q, breakdown.c))), h
     )

@@ -14,7 +14,7 @@ entries of ``lam`` survive unchanged.  One private kernel, ``_waterfill``,
 computes the cutoff ``r`` and the level ``c`` for a batch of B traces, with
 its tests laid out (B, d), one row per trace: the scalar ``nu`` runs the same
 code on one contiguous row.  Every public function validates its inputs once
-(spectrum, ``m``, trace) and then calls it; ``nu`` wraps the spectrum it
+(spectrum and ``m`` by ``_check_m``, trace) and then calls it; ``nu`` wraps the spectrum it
 assembles by ``SpectrumVec._trusted``, with no second test.  ``irregularity`` and
 ``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
 the trace thresholds where the rank bound starts to bite and where the level
@@ -82,12 +82,14 @@ def _check_trace(t, t0: float | None = None) -> float:
     return t
 
 
-def _check_m(values: np.ndarray, m) -> int:
+def _check_m(lam, m) -> tuple[np.ndarray, int]:
+    """The (lam, m) rule: lam's validated values, then m an integer below d (BadM)."""
+    values = spectrum_values(lam)
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise BadM("m must be an integer")
     if m >= values.size:
         raise BadM(f"m must be smaller than d = {values.size}")
-    return int(m)
+    return values, int(m)
 
 
 def _thresholds(values: np.ndarray, m: int) -> tuple[float, float]:
@@ -97,8 +99,7 @@ def _thresholds(values: np.ndarray, m: int) -> tuple[float, float]:
 
 
 def _checked_thresholds(lam, m) -> tuple[float, float]:
-    values = spectrum_values(lam)
-    mm = _check_m(values, m)
+    values, mm = _check_m(lam, m)
     if mm < 1:
         raise BadM("m must be at least 1")
     return _thresholds(values, mm)
@@ -140,8 +141,7 @@ def _waterfill(values: np.ndarray, m: int, tt: np.ndarray, sst: float | None = N
 
 
 def _solve(lam, m, t):
-    values = spectrum_values(lam)
-    mm = _check_m(values, m)
+    values, mm = _check_m(lam, m)
     t0, tt = float(values.sum()), _reals(t)
     if tt.size:  # min and max carry a NaN, and the extremes of the rest
         _check_trace(float(tt.min()), t0)
@@ -205,8 +205,7 @@ def nu(lam, m: int, t) -> NuBreakdown:
     DEFAULT_TOL * t (it is then cut to 0).  A t whose level c underflows
     (``nu([0, 0], 0, 5e-324)``) raises BadTrace too.
     """
-    values = spectrum_values(lam)
-    return _nu(values, _check_m(values, m), t)
+    return _nu(*_check_m(lam, m), t)
 
 
 def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
@@ -251,8 +250,7 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
 
 def minimizer_is_unique(lam, m: int, t) -> bool:
     """Whether one perturbed operator reaches the minimal spectrum: ``nu(lam, m, t).unique``."""
-    values = spectrum_values(lam)
-    return _nu(values, _check_m(values, m), t).unique
+    return _nu(*_check_m(lam, m), t).unique
 
 
 def _is_member(values: np.ndarray, m: int, t: float, mu_v: np.ndarray) -> bool:
@@ -273,8 +271,7 @@ def in_lambda_set(lam, m: int, t, mu) -> bool:
     caps mu_{d-m+i} <= lam_i, all within DEFAULT_TOL * max(t, tr(lam)).
     ValueError for a non-finite t; a t below tr(lam) is allowed.
     """
-    values = spectrum_values(lam)
-    mm, t = _check_m(values, m), _check_trace(t)
+    (values, mm), t = _check_m(lam, m), _check_trace(t)
     mu_v = _reals(mu)
     if mu_v.size != values.size:
         raise LengthMismatch(f"lengths differ: {mu_v.size} vs {values.size}")
@@ -291,8 +288,7 @@ def sample_lambda_set(lam, m: int, t, rng_seed, scale: float | None = None) -> S
     samples follow a rescaling of lam and t; ``scale=0`` returns it unchanged.
     ``scale`` is real by ``_reals``' rule; ValueError for a non-finite or negative one.
     """
-    values = spectrum_values(lam)
-    mm, t = _check_m(values, m), _check_trace(t)  # _is_member reads t as a float
+    (values, mm), t = _check_m(lam, m), _check_trace(t)  # _is_member reads t as a float
     minimal = _nu(values, mm, t).nu
     base = minimal.values
     d = values.size

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import frameopt as fo
-from frameopt.cli import main
+from frameopt.cli import _emit, main
 
 from conftest import DUAL_SYNTHESIS, EJ1_SYNTHESIS
 
@@ -213,6 +214,14 @@ class TestDual:
         assert code == 5
         assert not out and "basis" in err
 
+    def test_too_few_vectors_exit(self, capsys, tmp_path):
+        # n < d does not span: exit 6, as for any non-spanning frame, not the basis exit 5
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(fo.frame_to_json(fo.Frame(np.arange(6.0).reshape(3, 2)))))
+        code, out, err = run(capsys, "dual", "--frame", str(path), "--t", "6.0")
+        assert code == 6
+        assert not out and "spanning" in err
+
 
 class TestProcess:
     """``python -m frameopt.cli``: the module guard, ``entry`` and its exit code."""
@@ -399,3 +408,8 @@ class TestInputHandling:
         _, out, _ = run(capsys, "complete", "--frame", ej1_path, "--beta", "3,2.5")
         obj = json.loads(out)
         assert fo.frame_from_json(obj["F1"]).d == 5
+
+    def test_one_writer_for_every_number(self):
+        # bool before int, 12 significant digits, non-finite floats as JSON strings
+        values = [True, False, 3, 0.1, 1.0 / 3.0, np.float64(2.5), math.inf, -math.inf, None]
+        assert _emit(values) == '[true, false, 3, 0.1, 0.333333333333, 2.5, "inf", "-inf", null]'

@@ -314,6 +314,20 @@ def test_no_spectrum_validation_per_completion(monkeypatch, cplx):
     assert res.feasible and len(built) == 0
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 2)])
+def test_problem_keeps_a_copy_of_beta(shape):
+    # a later write to the caller's array reaches neither the problem nor its solve
+    beta = np.array([1.0, 1.0]).reshape(shape)
+    problem = CompletionProblem(Frame(np.eye(3)), beta)
+    ref = complete(CompletionProblem(Frame(np.eye(3)), [1.0, 1.0]))
+    beta.flat[0] = -5.0
+    assert problem.beta.tolist() == [1.0, 1.0]
+    res = complete(problem)
+    assert res.feasible and res.added.tobytes() == ref.added.tobytes()
+    assert res.nu.values.tobytes() == ref.nu.values.tobytes()
+    assert res.lower_bounds == ref.lower_bounds
+
+
 def _bounds_cases():
     big = np.sqrt(np.finfo(float).max)
     tiny = np.finfo(float).tiny

@@ -122,6 +122,13 @@ class TestOptimalDual:
         with pytest.raises(InsufficientCorank):
             optimal_dual(DualProblem(Frame(np.eye(3)), 4.0))
 
+    @pytest.mark.parametrize("solve", [optimal_dual, optimal_dual_spectrum])
+    @pytest.mark.parametrize("synthesis", [np.arange(6.0).reshape(3, 2), np.diag([1.0, 1.0, 0.0])])
+    def test_spanning_gate_comes_before_corank(self, solve, synthesis):
+        # fewer than d vectors, or a singular basis: no dual at all, as canonical_dual says
+        with pytest.raises(NotSpanning):
+            solve(DualProblem(Frame(synthesis), 4.0))
+
     def test_not_spanning(self):
         frame = Frame(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(NotSpanning):
