@@ -29,7 +29,10 @@ class Frame:
         if d < 1 or n < 1:
             raise ShapeMismatch("frame needs at least one vector in dimension >= 1")
         dtype = complex if np.iscomplexobj(arr) else float
-        mat = np.array(arr, dtype=dtype, copy=True)
+        try:
+            mat = np.array(arr, dtype=dtype, copy=True)
+        except OverflowError as exc:  # an integer past the float range
+            raise ShapeMismatch("frame entries must be finite") from exc
         if not np.isfinite(mat).all():
             raise ShapeMismatch("frame entries must be finite")
         mat.flags.writeable = False

@@ -28,19 +28,22 @@ GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality
 
 
 def _reals(x) -> np.ndarray:
-    """x (a SpectrumVec, or array-like) as a 1-d float array: ValueError for a nonzero
-    imaginary part, and a fresh copy of the real part when every one is exactly 0."""
+    """x (a SpectrumVec, or array-like) as a 1-d float array: ValueError for an integer past
+    the float range or a nonzero imaginary part, a fresh copy of the real part when all are 0."""
     v = np.asarray(x.values if isinstance(x, SpectrumVec) else x)
     if v.dtype.kind == "c":
         if np.count_nonzero(v.imag):
             raise ValueError("entries must be real, got a nonzero imaginary part")
         v = v.real.copy()
-    return np.asarray(v, dtype=float).reshape(-1)
+    try:
+        return np.asarray(v, dtype=float).reshape(-1)
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError("entries must be finite") from exc
 
 
 def _real(x) -> float:
     """x (a number, or a 1-element array-like) as a float, by ``_reals``' rule."""
-    return float(x) if isinstance(x, (int, float)) else _reals(x).item()  # floats skip the array
+    return float(x) if isinstance(x, float) else _reals(x).item()  # floats skip the array
 
 
 class SpectrumVec:

@@ -11,17 +11,17 @@ This module computes the unique spectrum ``nu`` in that set which is
 minimal for submajorization.  It has a waterfilling shape: the trailing
 eigenvalues are raised to a common level ``c`` while at most the top ``r``
 entries of ``lam`` survive unchanged.  One private kernel, ``_waterfill``,
-computes the cutoff ``r`` and the level ``c`` for a batch of B traces, with
-its tests laid out (B, d), one row per trace: the scalar ``nu`` runs the same
-code on one contiguous row.  Every public function validates its inputs once
-(spectrum and ``m`` by ``_check_m``, trace) and then calls it; ``nu`` wraps the spectrum it
-assembles by ``SpectrumVec._trusted``, with no second test.  ``irregularity`` and
-``c_lambda`` are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are
-the trace thresholds where the rank bound starts to bite and where the level
-passes the top of the spectrum.  ``_check_trace`` owns the trace rule, which
-every entry point taking a trace applies before any kernel runs: t real and finite
-even times 1 + DEFAULT_TOL, which keeps c + TIE_TOL * t and tr(nu) finite (ValueError),
-and at least tr(lam) * (1 - DEFAULT_TOL) (BadTrace), then clamped up to tr(lam);
+computes the cutoff ``r`` and the level ``c`` at one trace: ``nu`` calls it
+once, the batch functions once per trace.  Every public function validates
+its inputs once (spectrum and ``m`` by ``_check_m``, trace) and then calls
+it; ``nu`` wraps the spectrum it assembles by ``SpectrumVec._trusted``, with
+no second test.  ``irregularity`` and ``c_lambda`` are its ``m = 0`` cases,
+and ``s_star`` / ``s_star_star`` are the trace thresholds where the rank
+bound starts to bite and where the level passes the top of the spectrum.
+``_check_trace`` owns the trace rule, which every entry point taking a trace
+applies before any kernel runs: t real and finite even times 1 + DEFAULT_TOL,
+which keeps c + TIE_TOL * t and tr(nu) finite (ValueError), and at least
+tr(lam) * (1 - DEFAULT_TOL) (BadTrace), then clamped up to tr(lam);
 ``in_lambda_set`` applies only the real and finite part.  The slack of the solvers
 and of membership is DEFAULT_TOL times the trace.
 """
@@ -105,39 +105,31 @@ def _checked_thresholds(lam, m) -> tuple[float, float]:
     return _thresholds(values, mm)
 
 
-def _waterfill(values: np.ndarray, m: int, tt: np.ndarray, sst: float | None = None):
-    """Cutoff r and level c at each trace of ``tt`` (1-d, already clamped).
+def _waterfill(vals: list, m: int, t: float, sst: float | None) -> tuple[int, float]:
+    """Cutoff r and level c at one trace t (already clamped), on the spectrum as floats.
 
-    The tests are laid out (B, d), one row per trace, so a single trace is
-    one contiguous row.  For m >= 1 the level past s* has a closed form: it
-    rises from lam_m, and the waterfilling search (the m = 0 case) runs only
-    on the traces at or below s*; a caller holding s* passes it as ``sst``.
-    The cutoff is then the first entry at or below the level.  The last
-    column of each test holds exactly (t >= tr(lam) gives p(d-1, t) >= lam_d,
-    and c >= lam_d), so it is set true rather than left to rounding.  Ties
-    are decided within 1e-12 t, so exact-rational ties resolve the way the
-    closed-form math dictates.
+    The waterfilling search (the m = 0 case) gives both: c = p(r, t) at the
+    first r where it clears lam_{r+1}, its prefix sum taken left to right.
+    For m >= 1 the cutoff is the first entry at or below c, and past s*
+    (``sst``, which the caller holds) c has a closed form, rising from lam_m.
+    Each scan stops at the first index that passes.  The last one passes
+    exactly (t >= tr(lam) gives p(d-1, t) >= lam_d, and c >= lam_d), so it is
+    returned rather than left to rounding.  Ties are decided within 1e-12 t,
+    so exact-rational ties resolve the way the closed-form math dictates.
     """
-    d = values.size
-    slack = TIE_TOL * tt[:, None]
-    if m >= 1:
-        if sst is None:
-            sst = _thresholds(values, m)[0]
-        c = float(values[m - 1]) + (tt - sst) / (d - m)
-        low = tt <= sst
-        if np.count_nonzero(low):
-            c[low] = _waterfill(values, 0, tt[low])[1]
-        below = values <= c[:, None] + slack
-        below[:, -1] = True
-        return below.argmax(axis=1), c
-    prefix = np.zeros(d)
-    np.add.accumulate(values[:-1], out=prefix[1:])
-    levels = np.subtract.outer(tt, prefix)
-    levels /= np.arange(d, 0, -1, dtype=float)
-    fits = levels >= values - slack
-    fits[:, -1] = True
-    r = fits.argmax(axis=1)
-    return r, levels[np.arange(tt.size), r]
+    d, slack = len(vals), TIE_TOL * t
+    if m >= 1 and t > sst:
+        c = vals[m - 1] + (t - sst) / (d - m)
+    else:
+        prefix = 0.0
+        for j in range(d):
+            c = (t - prefix) / (d - j)
+            if c >= vals[j] - slack:
+                break
+            prefix += vals[j]
+        if m < 1:
+            return j, c
+    return next((j for j in range(d - 1) if vals[j] <= c + slack), d - 1), c
 
 
 def _solve(lam, m, t):
@@ -146,7 +138,12 @@ def _solve(lam, m, t):
     if tt.size:  # min and max carry a NaN, and the extremes of the rest
         _check_trace(float(tt.min()), t0)
         _check_trace(float(tt.max()))
-    return _waterfill(values, mm, np.maximum(tt, t0))
+    sst = _thresholds(values, mm)[0] if mm >= 1 else None
+    vals = values.tolist()
+    r, c = np.empty(tt.size, dtype=np.intp), np.empty(tt.size)
+    for i, ti in enumerate(np.maximum(tt, t0).tolist()):
+        r[i], c[i] = _waterfill(vals, mm, ti, sst)
+    return r, c
 
 
 def _shaped_like(x: np.ndarray, t, scalar):
@@ -209,7 +206,7 @@ def nu(lam, m: int, t) -> NuBreakdown:
 
 
 def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
-    d = values.size
+    d, vals = values.size, values.tolist()
     t0 = float(np.add.reduce(values))
     t = _check_trace(t, t0)
     t = t0 if t <= t0 else t  # as np.maximum: -0.0 becomes t0
@@ -219,18 +216,14 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
         sst, sstst = _thresholds(values, m)
         if t > sst:
             regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
-            tie = DEFAULT_TOL * float(values[0])  # past s*, a tie at lam_m lets B rotate
-            unique = float(values[m - 1]) - float(values[m]) > tie or t <= sst + tie
+            tie = DEFAULT_TOL * vals[0]  # past s*, a tie at lam_m lets B rotate
+            unique = vals[m - 1] - vals[m] > tie or t <= sst + tie
     # At or below s* the rank bound does not bite: the m = 0 search gives r and c at once.
     bites = regime is not Regime.AT_OR_BELOW_S_STAR
-    r_arr, c_arr = _waterfill(values, m if bites else 0, np.array([t]), sst)
-    r, c = int(r_arr[0]), float(c_arr[0])  # finite, as t and tr(lam) are
+    r, c = _waterfill(vals, m if bites else 0, t, sst)  # c finite, as t and tr(lam) are
     kept = max(r, m)
-    capped = r + d - kept  # the entries lam[r:kept] close the spectrum from here
-    raised = np.empty(d)
-    raised[:r] = values[:r]
-    raised[r:capped] = c
-    raised[capped:] = values[r:kept]
+    # The entries lam[r:kept] close the spectrum after the d - kept raised ones.
+    raised = np.array(vals[:r] + [c] * (d - kept) + vals[r:kept])
     # Trusted: raised holds validated entries of lam and the finite level c,
     # in order, since the cutoff rule leaves lam_1..lam_r above c and the
     # rest at most TIE_TOL * t above it; a c below 0 is rounding residue
@@ -240,10 +233,11 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
         if c < np.finfo(float).tiny:
             raise BadTrace(f"trace target {t} underflows the level c = {c}")
         raise ArithmeticError("assembled spectrum lost trace mass")
-    increment = c - values[kept:]  # kept <= d - 1, so never empty
-    if np.minimum.reduce(increment) < -DEFAULT_TOL * t:
+    gaps = [c - v for v in vals[kept:]]  # kept <= d - 1, so never empty
+    if min(gaps) < -DEFAULT_TOL * t:
         raise ArithmeticError("gap vector came out negative")
-    increment[increment <= TIE_TOL * c] = 0.0
+    cut = TIE_TOL * c
+    increment = np.array([g if g > cut else 0.0 for g in gaps])
     increment.setflags(write=False)
     return NuBreakdown(r, c, sst, sstst, spectrum, regime, kept, increment, unique)
 

@@ -236,6 +236,6 @@ def test_frame_basics():
     assert frame.d == 2 and frame.n == 3
     assert np.array_equal(frame.vector(2), [2.0, 0.0])
     assert frame.spanning
-    for synthesis in (np.zeros(3), np.zeros((0, 3)), [[np.nan]]):
+    for synthesis in (np.zeros(3), np.zeros((0, 3)), [[np.nan]], [[10**400, 1.0], [0.0, 1.0]]):
         with pytest.raises(ShapeMismatch):
             Frame(synthesis)

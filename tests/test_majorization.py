@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import frameopt as fo
 from frameopt import (
     PotentialKind,
     SpectrumVec,
@@ -219,6 +220,23 @@ _REAL_VECTOR_READERS = {
 def test_vectors_are_read_by_the_real_input_rule(entry):
     # a float cast once dropped a nonzero imaginary part with only a ComplexWarning
     check_real_input_rule(_REAL_VECTOR_READERS[entry], [3.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fo.nu([2, 1], 0, 10**400),
+        lambda: fo.c_lambda([2, 1], [10**400]),
+        lambda: fo.nu([10**400, 1], 0, 5.0),
+        lambda: sort_desc([10**400, 1]),
+        lambda: fo.CompletionProblem(fo.Frame(np.eye(2)), [10**400]),
+    ],
+    ids=["nu t", "c_lambda t", "nu lam", "sort_desc", "CompletionProblem beta"],
+)
+def test_an_integer_past_the_float_range_is_not_finite(call):
+    # the float cast of such an integer once raised a bare OverflowError
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
 
 
 def test_entrywise_implies_submajorized(rng):

@@ -20,6 +20,7 @@ from frameopt import (
     submajorizes,
 )
 from frameopt.errors import BadM, BadTrace, LengthMismatch
+from frameopt.majorization import TIE_TOL
 
 from conftest import (
     check_real_input_rule,
@@ -409,6 +410,82 @@ def test_batched_kernel_equals_scalar_nu(lam):
         for i, t in enumerate(grid):
             b = nu(lam, m, float(t))
             assert (b.r, b.c) == (rs[i], cs[i]), (m, t)
+
+
+def _waterfill_rows(values, m, tt):
+    # the (B, d) mask kernel the scalar one replaced: one row per clamped trace of tt
+    d = values.size
+    slack = TIE_TOL * tt[:, None]
+    if m >= 1:
+        sst = s_star(values, m)
+        c = float(values[m - 1]) + (tt - sst) / (d - m)
+        low = tt <= sst
+        if np.count_nonzero(low):
+            c[low] = _waterfill_rows(values, 0, tt[low])[1]
+        below = values <= c[:, None] + slack
+        below[:, -1] = True
+        return below.argmax(axis=1), c
+    prefix = np.zeros(d)
+    np.add.accumulate(values[:-1], out=prefix[1:])
+    levels = np.subtract.outer(tt, prefix)
+    levels /= np.arange(d, 0, -1, dtype=float)
+    fits = levels >= values - slack
+    fits[:, -1] = True
+    r = fits.argmax(axis=1)
+    return r, levels[np.arange(tt.size), r]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kernel_cases(rng):
+    for d in [*range(1, 21), 200]:
+        base = random_spectrum(rng, d)
+        tail = base.copy()
+        tail[d - d // 2 :] = 0.0
+        tied = np.sort(rng.choice(base, size=d))[::-1]
+        for k, lam in enumerate((tied, tail, np.full(d, 2.5), np.zeros(d))):
+            yield lam * 2.0 ** (-500, 0, 500)[(d + k) % 3]
+
+
+def test_scalar_kernel_equals_the_mask_kernel(rng):
+    # bitwise, at tr(lam), s*, s** and d * lam_1 and the floats next to each,
+    # for nu (which runs the m = 0 search at or below s*) and the batch functions
+    for lam in _kernel_cases(rng):
+        d, tr = lam.size, float(np.add.reduce(lam))
+        for m in range(-2, d) if d <= 20 else (-2, 0, 1, 2, d // 2, d - 2, d - 1):
+            edges = [tr, d * float(lam[0])]
+            if m >= 1:
+                edges += [s_star(lam, m), s_star_star(lam, m)]
+            grid = [t for x in edges for t in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+            grid = np.concatenate((grid, np.linspace(tr, 2.0 * max(edges), 4)))
+            ref_r, ref_c = _waterfill_rows(lam, m, np.maximum(grid, tr))
+            assert _same_bits(r_lambda_m(lam, m, grid), ref_r), (d, m)
+            assert _same_bits(c_lambda_m(lam, m, grid), ref_c), (d, m)
+            if m == 0:
+                assert _same_bits(irregularity(lam, grid), ref_r)
+                assert _same_bits(c_lambda(lam, grid), ref_c)
+            for t in grid[grid >= np.finfo(float).tiny]:  # nu's level underflows below
+                b, tc = nu(lam, m, float(t)), np.array([max(float(t), tr)])
+                bites = m >= 1 and tc[0] > s_star(lam, m)
+                r, c = _waterfill_rows(lam, m if bites else 0, tc)
+                assert b.r == r[0] and _same_bits(np.array([b.c]), c), (d, m, t)
+
+
+def test_batch_setup_runs_once_per_call_and_keeps_its_shapes(monkeypatch):
+    lam = [5.0, 4.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.2, 0.0]
+    grid = np.linspace(19.7, 60.0, 100)
+    for fn in (r_lambda_m, c_lambda_m):
+        calls = count_calls(monkeypatch, frameopt.spectra, "_thresholds")
+        assert fn(lam, 3, grid).shape == (100,)
+        assert len(calls) == 1  # s* once per call, not once per trace
+    empty = r_lambda_m(lam, 1, [])
+    assert empty.shape == (0,) and empty.dtype == np.intp
+    levels = c_lambda_m(lam, 1, np.empty((0, 3)))
+    assert levels.shape == (0, 3) and levels.dtype == np.float64
+    assert type(r_lambda_m(lam, 1, np.array(20.0))) is int
+    assert type(c_lambda_m(lam, 1, np.array(20.0))) is float
 
 
 def test_nu_validates_each_spectrum_once(monkeypatch):

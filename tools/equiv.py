@@ -15,7 +15,9 @@ object holding a SHA-256 prefix per family of outputs:
   and complex): canonical and optimal duals at 1, 1.3 and 3 times tr(S^-1),
   and the existence and duality predicates;
 - ``cli``: exit code, stdout and stderr of every ``cli`` pool invocation,
-  run in process through ``frameopt.cli.main``.
+  run in process through ``frameopt.cli.main``;
+- ``batch``: ``r_lambda_m`` and ``c_lambda_m`` on each ``nu-grid`` instance's
+  whole trace grid at once, at its m and at m = 0.
 
 An exception the library raises is recorded by its type name.  Equal digests
 mean equal bits.  Under ``worst``, the object also holds the largest
@@ -150,7 +152,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 20261017])
     seeds = parser.parse_args().seeds
-    hashes = {name: hashlib.sha256() for name in ("complete", "nu-grid", "dual", "cli")}
+    hashes = {name: hashlib.sha256() for name in ("complete", "nu-grid", "dual", "cli", "batch")}
     worst: dict = {name: {} for name in hashes}
     for inst in _pools("complete", seeds):
         out = _record(hashes["complete"], lambda: _complete(inst))
@@ -162,6 +164,9 @@ def main() -> None:
             out = _record(hashes["nu-grid"], lambda: _breakdown(inst["lam"], inst["m"], t))
             if out is not None:
                 _certify(worst["nu-grid"], check.check_nu({"nu": nu_ref}, out.nu))
+        for m in (inst["m"], 0):
+            for fn in (fo.r_lambda_m, fo.c_lambda_m):
+                _record(hashes["batch"], lambda: fn(inst["lam"], m, inst["ts"]))
     for frame in _dual_corpus():
         _record(hashes["dual"], lambda: _dual(frame, worst["dual"]))
     with tempfile.TemporaryDirectory() as workdir:
