@@ -28,16 +28,16 @@ from .errors import (
     NotPositiveSemidefinite,
     RankDeficient,
 )
-from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec, _reals
+from .majorization import GATE_TOL, PSD_TOL, TIE_TOL, SpectrumVec, _numbers, _reals
 
 
 def _check_square(a) -> np.ndarray:
-    arr = np.asarray(a)
+    arr = _numbers(a, NotHermitian)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NotHermitian("matrix entries must be finite")
-    return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
+    return arr
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ class HermitianPSD:
 
     ``eigenvalues`` is a descending SpectrumVec and the columns of
     ``eigenvectors`` pair with it.  Real input matrices keep real storage.
-    ``matrix`` is a read-only copy of the input, always taken, or for an
+    ``matrix`` is a read-only float or complex copy of the input, or for an
     object built from an eigensystem the Hermitian part of V diag(w) V*,
     assembled on first access.  Every constructor ends in ``_set``, which
     tests the eigenvalues once: ValueError unless they are finite (and at
@@ -127,7 +127,7 @@ class HermitianPSD:
     __slots__ = ("_matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        self._set(*_eigh(_check_square(matrix)), np.array(matrix, copy=True))
+        self._set(*_eigh(arr := _check_square(matrix)), arr.copy())
 
     @classmethod
     def _trusted(cls, w, v) -> "HermitianPSD":
@@ -162,13 +162,14 @@ class HermitianPSD:
         raises NotPositiveSemidefinite, while -1e-20 next to 2.0 reads as 0.
         """
         w = _reals(values)
-        v = np.asarray(vectors)
+        v = _numbers(vectors)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != w.size:
             raise ValueError("eigensystem shapes do not match")
         d = w.size
-        # V*V - I is dimensionless, so this slack does not scale with w
-        if np.linalg.norm(v.conj().T @ v - np.eye(d)) > GATE_TOL * (1.0 + d):
-            raise ValueError("eigenvector columns must be orthonormal")
+        # V*V - I is dimensionless, so this slack does not scale with w; NaN > slack is False
+        if not np.isfinite(v).all() or (
+                np.linalg.norm(v.conj().T @ v - np.eye(d)) > GATE_TOL * (1.0 + d)):
+            raise ValueError("eigenvector columns must be finite and orthonormal")
         return cls._trusted(w, v)
 
     @property

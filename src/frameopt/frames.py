@@ -13,7 +13,7 @@ import numpy as np
 
 from .core_linalg import HermitianPSD, _eigh, _fix_phases
 from .errors import DomainError, NotSpanning, ShapeMismatch, SingularFrameOperator
-from .majorization import GATE_TOL, PotentialKind, trace_f
+from .majorization import GATE_TOL, PotentialKind, _numbers, trace_f
 
 
 class Frame:
@@ -28,11 +28,7 @@ class Frame:
         d, n = arr.shape
         if d < 1 or n < 1:
             raise ShapeMismatch("frame needs at least one vector in dimension >= 1")
-        dtype = complex if np.iscomplexobj(arr) else float
-        try:
-            mat = np.array(arr, dtype=dtype, copy=True)
-        except OverflowError as exc:  # an integer past the float range
-            raise ShapeMismatch("frame entries must be finite") from exc
+        mat = _numbers(arr, ShapeMismatch).copy()  # the caller's float array is read as is
         if not np.isfinite(mat).all():
             raise ShapeMismatch("frame entries must be finite")
         mat.flags.writeable = False

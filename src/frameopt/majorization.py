@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -27,18 +28,31 @@ PSD_TOL = 1e-10  # symmetry, positive semidefiniteness, numerical rank
 GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality test
 
 
+def _numbers(x, error=ValueError) -> np.ndarray:
+    """x's entries as a float array, or a complex one when any entry is complex: the library's
+    one cast of an argument.  ``error`` for text, bytes or another entry that is not a number
+    (an object array is read entry by entry) and for an integer past the float range."""
+    v = np.asarray(x)
+    kind = v.dtype.kind
+    if kind == "O" and all(isinstance(e, numbers.Number) for e in v.flat):  # as for 10**400
+        kind = "c" if any(isinstance(e, (complex, np.complexfloating)) for e in v.flat) else "f"
+    if kind not in "biufc":
+        raise error(f"entries must be numbers, got {v.dtype}")
+    try:
+        return np.asarray(v, dtype=complex if kind == "c" else float)
+    except OverflowError as exc:  # an integer past the float range
+        raise error("entries must be finite") from exc
+
+
 def _reals(x) -> np.ndarray:
-    """x (a SpectrumVec, or array-like) as a 1-d float array: ValueError for an integer past
-    the float range or a nonzero imaginary part, a fresh copy of the real part when all are 0."""
-    v = np.asarray(x.values if isinstance(x, SpectrumVec) else x)
+    """x (a SpectrumVec, or array-like) read by ``_numbers`` as a 1-d float array: ValueError for
+    a nonzero imaginary part, a fresh copy of the real part when all are 0."""
+    v = _numbers(x.values if isinstance(x, SpectrumVec) else x)
     if v.dtype.kind == "c":
         if np.count_nonzero(v.imag):
             raise ValueError("entries must be real, got a nonzero imaginary part")
         v = v.real.copy()
-    try:
-        return np.asarray(v, dtype=float).reshape(-1)
-    except OverflowError as exc:  # an integer past the float range
-        raise ValueError("entries must be finite") from exc
+    return v.reshape(-1)
 
 
 def _real(x) -> float:

@@ -11,13 +11,13 @@ This module computes the unique spectrum ``nu`` in that set which is
 minimal for submajorization.  It has a waterfilling shape: the trailing
 eigenvalues are raised to a common level ``c`` while at most the top ``r``
 entries of ``lam`` survive unchanged.  One private kernel, ``_waterfill``,
-computes the cutoff ``r`` and the level ``c`` at one trace: ``nu`` calls it
-once, the batch functions once per trace.  Every public function validates
-its inputs once (spectrum and ``m`` by ``_check_m``, trace) and then calls
-it; ``nu`` wraps the spectrum it assembles by ``SpectrumVec._trusted``, with
-no second test.  ``irregularity`` and ``c_lambda`` are its ``m = 0`` cases,
-and ``s_star`` / ``s_star_star`` are the trace thresholds where the rank
-bound starts to bite and where the level passes the top of the spectrum.
+computes the cutoff ``r`` and the level ``c`` at one trace, picking its case (past
+s*, or the m = 0 search): ``nu`` calls it once, the batch functions once per trace.
+Every public function validates its inputs once (spectrum and ``m`` by ``_check_m``,
+trace) and then calls it; ``nu`` wraps the spectrum it assembles by
+``SpectrumVec._trusted``, with no second test.  ``irregularity`` and ``c_lambda``
+are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are the trace thresholds
+where the rank bound starts to bite and where the level passes the top of the spectrum.
 ``_check_trace`` owns the trace rule, which every entry point taking a trace
 applies before any kernel runs: t real and finite even times 1 + DEFAULT_TOL,
 which keeps c + TIE_TOL * t and tr(nu) finite (ValueError), and at least
@@ -108,28 +108,26 @@ def _checked_thresholds(lam, m) -> tuple[float, float]:
 def _waterfill(vals: list, m: int, t: float, sst: float | None) -> tuple[int, float]:
     """Cutoff r and level c at one trace t (already clamped), on the spectrum as floats.
 
-    The waterfilling search (the m = 0 case) gives both: c = p(r, t) at the
-    first r where it clears lam_{r+1}, its prefix sum taken left to right.
-    For m >= 1 the cutoff is the first entry at or below c, and past s*
-    (``sst``, which the caller holds) c has a closed form, rising from lam_m.
-    Each scan stops at the first index that passes.  The last one passes
-    exactly (t >= tr(lam) gives p(d-1, t) >= lam_d, and c >= lam_d), so it is
-    returned rather than left to rounding.  Ties are decided within 1e-12 t,
-    so exact-rational ties resolve the way the closed-form math dictates.
+    Past s* (m >= 1 and t > ``sst``, which the caller holds) c has a closed
+    form, rising from lam_m, and r is the first entry at or below c.  Else the
+    waterfilling search (the m = 0 case) gives both: c = p(r, t) at the first
+    r where it clears lam_{r+1}, its prefix sum taken left to right.  Each scan
+    stops at the first index that passes.  The last one passes exactly
+    (t >= tr(lam) gives p(d-1, t) >= lam_d, and c >= lam_d), so it is returned
+    rather than left to rounding.  Ties are decided within 1e-12 t, so
+    exact-rational ties resolve the way the closed-form math dictates.
     """
     d, slack = len(vals), TIE_TOL * t
     if m >= 1 and t > sst:
         c = vals[m - 1] + (t - sst) / (d - m)
-    else:
-        prefix = 0.0
-        for j in range(d):
-            c = (t - prefix) / (d - j)
-            if c >= vals[j] - slack:
-                break
-            prefix += vals[j]
-        if m < 1:
-            return j, c
-    return next((j for j in range(d - 1) if vals[j] <= c + slack), d - 1), c
+        return next((j for j in range(d - 1) if vals[j] <= c + slack), d - 1), c
+    prefix = 0.0
+    for j in range(d):
+        c = (t - prefix) / (d - j)
+        if c >= vals[j] - slack:
+            break
+        prefix += vals[j]
+    return j, c
 
 
 def _solve(lam, m, t):
@@ -218,9 +216,7 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
             regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
             tie = DEFAULT_TOL * vals[0]  # past s*, a tie at lam_m lets B rotate
             unique = vals[m - 1] - vals[m] > tie or t <= sst + tie
-    # At or below s* the rank bound does not bite: the m = 0 search gives r and c at once.
-    bites = regime is not Regime.AT_OR_BELOW_S_STAR
-    r, c = _waterfill(vals, m if bites else 0, t, sst)  # c finite, as t and tr(lam) are
+    r, c = _waterfill(vals, m, t, sst)  # c finite, as t and tr(lam) are
     kept = max(r, m)
     # The entries lam[r:kept] close the spectrum after the d - kept raised ones.
     raised = np.array(vals[:r] + [c] * (d - kept) + vals[r:kept])

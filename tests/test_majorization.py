@@ -5,15 +5,17 @@ import pytest
 
 import frameopt as fo
 from frameopt import (
+    HermitianPSD,
     PotentialKind,
     SpectrumVec,
+    eig_hermitian,
     entrywise_leq,
     majorizes,
     sort_desc,
     submajorizes,
     trace_f,
 )
-from frameopt.errors import DomainError, LengthMismatch
+from frameopt.errors import DomainError, LengthMismatch, NotHermitian, ShapeMismatch
 
 from conftest import check_real_input_rule, prefix_sums_within
 
@@ -222,21 +224,55 @@ def test_vectors_are_read_by_the_real_input_rule(entry):
     check_real_input_rule(_REAL_VECTOR_READERS[entry], [3.0, 2.0, 1.0])
 
 
+_HUGE = [[1, 10**400], [10**400, 1]]
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, error",
     [
-        lambda: fo.nu([2, 1], 0, 10**400),
-        lambda: fo.c_lambda([2, 1], [10**400]),
-        lambda: fo.nu([10**400, 1], 0, 5.0),
-        lambda: sort_desc([10**400, 1]),
-        lambda: fo.CompletionProblem(fo.Frame(np.eye(2)), [10**400]),
+        (lambda: fo.nu([2, 1], 0, 10**400), ValueError),
+        (lambda: fo.c_lambda([2, 1], [10**400]), ValueError),
+        (lambda: fo.nu([10**400, 1], 0, 5.0), ValueError),
+        (lambda: sort_desc([10**400, 1]), ValueError),
+        (lambda: fo.CompletionProblem(fo.Frame(np.eye(2)), [10**400]), ValueError),
+        (lambda: fo.Frame([[10**400, 1]]), ShapeMismatch),
+        (lambda: eig_hermitian(_HUGE), NotHermitian),
+        (lambda: HermitianPSD(_HUGE), NotHermitian),
+        (lambda: HermitianPSD.from_eigensystem([2, 1], _HUGE), ValueError),
     ],
-    ids=["nu t", "c_lambda t", "nu lam", "sort_desc", "CompletionProblem beta"],
+    ids=["nu t", "c_lambda t", "nu lam", "sort_desc", "CompletionProblem beta", "Frame",
+         "eig_hermitian", "HermitianPSD", "from_eigensystem"],
 )
-def test_an_integer_past_the_float_range_is_not_finite(call):
-    # the float cast of such an integer once raised a bare OverflowError
-    with pytest.raises(ValueError, match="must be finite"):
+def test_an_integer_past_the_float_range_is_not_finite(call, error):
+    # the float cast of such an integer once raised a bare OverflowError or TypeError
+    with pytest.raises(error, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: fo.nu([2, 1], 0, "5"), ValueError),
+        (lambda: SpectrumVec(["2", "1"]), ValueError),
+        (lambda: fo.Frame([["1", "2"]]), ShapeMismatch),
+        (lambda: eig_hermitian([["1", "0"], ["0", "1"]]), NotHermitian),
+        (lambda: HermitianPSD.from_eigensystem([2, 1], [["1", "0"], ["0", "1"]]), ValueError),
+        (lambda: fo.Frame([[1j, 10**400], [0, 1]]), ShapeMismatch),
+        (lambda: HermitianPSD.from_eigensystem([2, 1], [[np.nan, 0], [0, 1]]), ValueError),
+    ],
+    ids=["nu t text", "SpectrumVec text", "Frame text", "eig_hermitian text",
+         "from_eigensystem text", "Frame complex and huge", "from_eigensystem NaN"],
+)
+def test_each_reader_takes_numbers_only(call, error):
+    # text was once parsed as numbers, the mixed Frame raised a bare TypeError and a
+    # NaN eigenvector passed the orthonormality test
+    with pytest.raises(error):
+        call()
+
+
+def test_a_hermitian_matrix_is_stored_as_read():
+    # the stored matrix was once a second copy of the raw argument, here int64
+    assert HermitianPSD([[2, 0], [0, 1]]).matrix.dtype == np.float64
 
 
 def test_entrywise_implies_submajorized(rng):
