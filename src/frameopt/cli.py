@@ -29,7 +29,7 @@ from .errors import (
     RankDeficient,
     SingularFrameOperator,
 )
-from .frames import Frame, _is_real, duality_residual, frame_from_json, is_dual, potential
+from .frames import Frame, _duality, _is_real, frame_from_json, potential
 from .majorization import PotentialKind
 from .spectra import nu
 
@@ -174,7 +174,8 @@ def _cmd_dual(args) -> int:
 def _cmd_check_dual(args) -> int:
     frame = _load_frame(args.frame)
     other = _load_frame(args.dual)
-    _print({"is_dual": is_dual(frame, other), "residual": duality_residual(frame, other)})
+    verdict, residual = _duality(frame, other)
+    _print({"is_dual": verdict, "residual": residual})
     return EXIT_OK
 
 

@@ -56,13 +56,14 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     """
     if v.size == 0:
         return v
-    mag = np.abs(v)
-    mask = mag > GATE_TOL * np.sqrt(np.add.reduce((v.conj() * v).real, 0))  # norm(v, axis=0)
+    cplx, mag = np.iscomplexobj(v), np.abs(v)
+    square = (v.conj() * v).real if cplx else v * v
+    mask = mag > GATE_TOL * np.sqrt(np.add.reduce(square, 0))  # norm(v, axis=0)
     rows = mask.argmax(axis=0)  # first significant entry; 0 in a column with none
     cols = np.arange(v.shape[1])
     pivoted = mask[rows, cols]
     pivot = v[rows, cols]
-    if np.iscomplexobj(v):
+    if cplx:
         size = mag[rows, cols]
         # a column with no pivot gets the neutral phase 1
         v *= np.conj(np.where(pivoted, pivot, 1.0)) / np.where(pivoted, size, 1.0)
@@ -148,7 +149,7 @@ class HermitianPSD:
             if arr is not None:
                 arr.flags.writeable = False
         self._matrix = matrix  # None: assembled on first access
-        self.eigenvalues = SpectrumVec._trusted(w)  # sorted and finite, as tested above
+        self.eigenvalues = SpectrumVec._trusted(np.maximum(w, 0.0, out=w))  # sorted, finite
         self.eigenvectors = v
         return self
 

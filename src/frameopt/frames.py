@@ -157,7 +157,13 @@ def duality_residual(frame: Frame, other: Frame) -> float:
 
 def is_dual(frame: Frame, other: Frame) -> bool:
     """Whether ``other`` reconstructs with ``frame``: ``duality_residual`` <= GATE_TOL."""
-    return duality_residual(frame, other) <= GATE_TOL
+    return _duality(frame, other)[0]
+
+
+def _duality(frame: Frame, other: Frame) -> tuple[bool, float]:
+    """``is_dual``'s verdict together with the residual it reads."""
+    residual = duality_residual(frame, other)
+    return residual <= GATE_TOL, residual
 
 
 def potential(frame: Frame, kind: PotentialKind) -> float:

@@ -32,6 +32,8 @@ def _numbers(x, error=ValueError) -> np.ndarray:
     """x's entries as a float array, or a complex one when any entry is complex: the library's
     one cast of an argument.  ``error`` for text, bytes or another entry that is not a number
     (an object array is read entry by entry) and for an integer past the float range."""
+    if type(x) is np.ndarray and x.dtype == np.float64:  # already what the cast makes
+        return x
     v = np.asarray(x)
     kind = v.dtype.kind
     if kind == "O" and all(isinstance(e, numbers.Number) for e in v.flat):  # as for 10**400
@@ -68,23 +70,23 @@ class SpectrumVec:
     negative or out-of-order input is rejected.  The input is copied.
 
     ``SpectrumVec._trusted`` wraps a spectrum the library has just made
-    (``nu``'s assembled result, sorted ``eigh`` output) without these
-    tests: it only clamps to zero and marks the array read-only.
+    and clamped (``nu``'s assembled result, sorted ``eigh`` output) without
+    these tests: it only marks the array read-only.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
         v = _reals(values)
-        if v.size == 0:
+        vals = v.tolist()  # the tests run on Python floats, the same IEEE operations
+        if not vals:
             raise ValueError("spectrum must have at least one entry")
-        top = float(np.maximum.reduce(np.abs(v)))  # NaN and +-inf propagate through max
-        if not math.isfinite(top):
+        if not all(map(math.isfinite, vals)):  # max would skip a NaN inside the list
             raise ValueError("spectrum entries must be finite")
-        slack = DEFAULT_TOL * top
-        if np.count_nonzero(v[1:] > v[:-1] + slack):
+        slack = DEFAULT_TOL * max(map(abs, vals))
+        if any(b > a + slack for a, b in zip(vals, vals[1:])):
             raise ValueError("spectrum entries must be nonincreasing")
-        if float(v[-1]) < -slack:
+        if vals[-1] < -slack:
             raise ValueError("spectrum entries must be nonnegative")
         v = np.maximum(v, 0.0)  # the one copy: v may be the caller's array
         v.setflags(write=False)
@@ -92,13 +94,12 @@ class SpectrumVec:
 
     @classmethod
     def _trusted(cls, values: np.ndarray) -> "SpectrumVec":
-        """Wrap a fresh, finite, nonincreasing 1-d float array, clamped in place.
+        """Wrap a fresh, finite, nonincreasing 1-d float array, marked read-only here.
 
         No copy and no finiteness, order or sign test: the caller vouches for
-        them.  The clamp stays, so a rounding residue such as a level of
-        -4e-19 reads as 0, as the validating constructor makes it.
+        them, and has clamped a rounding residue such as a level of -4e-19 to
+        0 (+0.0, as ``np.maximum(v, 0.0)`` in the validating constructor).
         """
-        np.maximum(values, 0.0, out=values)
         values.setflags(write=False)
         self = cls.__new__(cls)
         self.values = values
@@ -126,7 +127,11 @@ class PotentialKind(enum.Enum):
 
 def sort_desc(x) -> np.ndarray:
     """Rearrangement of x in nonincreasing order (stable, returns a copy)."""
-    v = _reals(x)
+    return _sorted_desc(_reals(x))
+
+
+def _sorted_desc(v: np.ndarray) -> np.ndarray:
+    """``sort_desc`` on a 1-d float array ``_reals`` has already read."""
     if not np.isfinite(v).all():
         raise ValueError("entries must be finite")
     return -np.sort(-v, kind="stable")
@@ -144,12 +149,12 @@ def _prefix_sums_within(y, x):
     prefix sum of x's is at most y's plus it.  Lengths and finiteness are checked first, then
     an ||y||_1 that overflows raises DomainError: that slack would accept any x."""
     xv, yv = _pair(x, y)
-    xs, ys = sort_desc(xv), sort_desc(yv)
+    xs, ys = _sorted_desc(xv), _sorted_desc(yv)
     with np.errstate(over="ignore"):  # an x whose prefix sum overflows is not within
         tol = DEFAULT_TOL * float(np.add.reduce(np.abs(yv)))
         if tol == math.inf:
             raise DomainError("the 1-norm of y overflows")
-        return xs, ys, tol, bool((np.cumsum(xs) <= np.cumsum(ys) + tol).all())
+        return xs, ys, tol, bool((xs.cumsum() <= ys.cumsum() + tol).all())
 
 
 def submajorizes(y, x) -> bool:
@@ -181,16 +186,16 @@ def trace_f(x, kind: PotentialKind) -> float:
     v = _reals(x)
     if kind is PotentialKind.FRAME_POTENTIAL:
         with np.errstate(over="ignore"):
-            return float(np.sum(v * v))
+            return float(np.add.reduce(v * v))
     if kind is PotentialKind.MEAN_SQUARE_ERROR:
-        if np.any(v <= 0.0):
+        if (v <= 0.0).any():
             raise DomainError("mean square error needs strictly positive entries")
         with np.errstate(over="ignore"):
-            return float(np.sum(1.0 / v))
+            return float(np.add.reduce(1.0 / v))
     if kind is PotentialKind.NEG_ENTROPY:
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise DomainError("x log x needs nonnegative entries")
         pos = v[v > 0.0]
         with np.errstate(over="ignore"):
-            return float(np.sum(pos * np.log(pos)))
+            return float(np.add.reduce(pos * np.log(pos)))
     raise TypeError(f"unsupported potential kind {kind!r}")

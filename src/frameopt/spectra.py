@@ -13,10 +13,12 @@ eigenvalues are raised to a common level ``c`` while at most the top ``r``
 entries of ``lam`` survive unchanged.  One private kernel, ``_waterfill``,
 computes the cutoff ``r`` and the level ``c`` at one trace, picking its case (past
 s*, or the m = 0 search): ``nu`` calls it once, the batch functions once per trace.
-Every public function validates its inputs once (spectrum and ``m`` by ``_check_m``,
-trace) and then calls it; ``nu`` wraps the spectrum it assembles by
-``SpectrumVec._trusted``, with no second test.  ``irregularity`` and ``c_lambda``
-are its ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are the trace thresholds
+Every public function validates its inputs once, then calls the kernel: ``_check_m``
+validates the spectrum (``SpectrumVec``, on one ``tolist()``) and ``m``; ``nu`` then
+works on that list of floats, clamps c at 0 itself and wraps its result by
+``SpectrumVec._trusted``.  Only tr(lam), s*'s head and the trace check sum in numpy,
+pairwise, as those bits set t's clamp, s* and c.  ``irregularity`` and ``c_lambda``
+are the batch functions' ``m = 0`` cases, and ``s_star`` / ``s_star_star`` are the trace thresholds
 where the rank bound starts to bite and where the level passes the top of the spectrum.
 ``_check_trace`` owns the trace rule, which every entry point taking a trace
 applies before any kernel runs: t real and finite even times 1 + DEFAULT_TOL,
@@ -95,7 +97,7 @@ def _check_m(lam, m) -> tuple[np.ndarray, int]:
 def _thresholds(values: np.ndarray, m: int) -> tuple[float, float]:
     """(s*, s**) for a validated spectrum and 1 <= m < d."""
     head, tail = float(np.add.reduce(values[:m])), values.size - m
-    return head + tail * float(values[m - 1]), tail * float(values[0]) + head
+    return head + tail * values.item(m - 1), tail * values.item(0) + head
 
 
 def _checked_thresholds(lam, m) -> tuple[float, float]:
@@ -219,22 +221,21 @@ def _nu(values: np.ndarray, m: int, t) -> NuBreakdown:
     r, c = _waterfill(vals, m, t, sst)  # c finite, as t and tr(lam) are
     kept = max(r, m)
     # The entries lam[r:kept] close the spectrum after the d - kept raised ones.
-    raised = np.array(vals[:r] + [c] * (d - kept) + vals[r:kept])
-    # Trusted: raised holds validated entries of lam and the finite level c,
-    # in order, since the cutoff rule leaves lam_1..lam_r above c and the
-    # rest at most TIE_TOL * t above it; a c below 0 is rounding residue
-    # (about -4e-19 at t = tr(lam) with a zero tail), which the clamp zeroes.
-    spectrum = SpectrumVec._trusted(raised)
-    if abs(spectrum.trace() - t) > DEFAULT_TOL * t:
+    # Trusted: raised holds validated (clamped) entries of lam and the finite
+    # level c, in order, since the cutoff rule leaves lam_1..lam_r above c and
+    # the rest at most TIE_TOL * t above it; a c below 0 is rounding residue
+    # (about -4e-19 at t = tr(lam) with a zero tail), zeroed as np.maximum would.
+    raised = np.array(vals[:r] + [c if c > 0.0 else 0.0] * (d - kept) + vals[r:kept])
+    if abs(float(np.add.reduce(raised)) - t) > DEFAULT_TOL * t:
         if c < np.finfo(float).tiny:
             raise BadTrace(f"trace target {t} underflows the level c = {c}")
         raise ArithmeticError("assembled spectrum lost trace mass")
-    gaps = [c - v for v in vals[kept:]]  # kept <= d - 1, so never empty
-    if min(gaps) < -DEFAULT_TOL * t:
+    if c - max(vals[kept:]) < -DEFAULT_TOL * t:  # the least gap c - lam_i (kept < d)
         raise ArithmeticError("gap vector came out negative")
     cut = TIE_TOL * c
-    increment = np.array([g if g > cut else 0.0 for g in gaps])
+    increment = np.array([g if (g := c - v) > cut else 0.0 for v in vals[kept:]])
     increment.setflags(write=False)
+    spectrum = SpectrumVec._trusted(raised)
     return NuBreakdown(r, c, sst, sstst, spectrum, regime, kept, increment, unique)
 
 

@@ -9,7 +9,7 @@ import pytest
 import frameopt as fo
 from frameopt.cli import _emit, main
 
-from conftest import DUAL_SYNTHESIS, EJ1_SYNTHESIS
+from conftest import DUAL_SYNTHESIS, EJ1_SYNTHESIS, count_calls
 
 
 @pytest.fixture
@@ -278,6 +278,16 @@ class TestCheckDual:
                              "--dual", str(tmp_path / "w.json"))
         assert code == 0 and not err
         assert json.loads(out) == {"is_dual": False, "residual": "inf"}
+
+    def test_residual_is_computed_once(self, capsys, monkeypatch, dual_path):
+        # the verdict and the printed residual come from one product T_W T_F*
+        calls = []
+        for module in (fo.frames, sys.modules["frameopt.cli"]):
+            if hasattr(module, "duality_residual"):
+                count_calls(monkeypatch, module, "duality_residual", calls)
+        code, out, _ = run(capsys, "check-dual", "--frame", dual_path, "--dual", dual_path)
+        assert code == 0 and json.loads(out)["is_dual"] is False
+        assert len(calls) == 1
 
 
 class TestPotential:

@@ -204,6 +204,16 @@ class TestSpectrumVec:
         with pytest.raises(ValueError, match="nonincreasing"):
             SpectrumVec([top, scale, scale + 1.1 * slack])
 
+    def test_no_warning_near_the_float_maximum(self):
+        # an entry plus the order slack past the float range is inf, above the next entry
+        top = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in ([top, top], [top, 1.0]):
+                assert SpectrumVec(lam).values.tolist() == lam
+            with pytest.raises(ValueError, match="nonincreasing"):
+                SpectrumVec([1.0, top])
+
 
 _REAL_VECTOR_READERS = {
     "SpectrumVec": SpectrumVec,

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from frameopt import (
     submajorizes,
 )
 from frameopt.errors import BadM, BadTrace, LengthMismatch
-from frameopt.majorization import TIE_TOL
+from frameopt.majorization import DEFAULT_TOL, TIE_TOL
 
 from conftest import (
     check_real_input_rule,
@@ -505,6 +506,123 @@ def test_nu_validates_each_spectrum_once(monkeypatch):
             built.clear()
             nu(given, m, t)
             assert len(built) == expected
+
+
+def _array_spectrum(lam):
+    # reference: SpectrumVec's checks run by numpy on the array, not on a list of floats
+    v = np.asarray(lam, dtype=float).reshape(-1)
+    if v.size == 0:
+        raise ValueError("spectrum must have at least one entry")
+    top = float(np.maximum.reduce(np.abs(v)))  # NaN and +-inf propagate through max
+    if not math.isfinite(top):
+        raise ValueError("spectrum entries must be finite")
+    slack = DEFAULT_TOL * top
+    if np.count_nonzero(v[1:] > v[:-1] + slack):
+        raise ValueError("spectrum entries must be nonincreasing")
+    if float(v[-1]) < -slack:
+        raise ValueError("spectrum entries must be nonnegative")
+    return np.maximum(v, 0.0)
+
+
+def _array_nu(lam, m, t):
+    # reference: nu's assembly with the spectrum built as an array and clamped in
+    # place, its level not clamped in Python, and the gaps taken in a pass of their own
+    values = _array_spectrum(lam)
+    d, vals = values.size, values.tolist()
+    t0 = float(np.add.reduce(values))
+    t = frameopt.spectra._check_trace(t, t0)
+    t = t0 if t <= t0 else t
+    sst = sstst = None
+    regime, unique = Regime.AT_OR_BELOW_S_STAR, True
+    if m >= 1:
+        head = float(np.add.reduce(values[:m]))
+        sst, sstst = head + (d - m) * float(values[m - 1]), (d - m) * float(values[0]) + head
+        if t > sst:
+            regime = Regime.AT_OR_ABOVE_S_STAR_STAR if t >= sstst else Regime.BETWEEN
+            tie = DEFAULT_TOL * vals[0]
+            unique = vals[m - 1] - vals[m] > tie or t <= sst + tie
+    r, c = frameopt.spectra._waterfill(vals, m, t, sst)
+    kept = max(r, m)
+    raised = np.array(vals[:r] + [c] * (d - kept) + vals[r:kept])
+    np.maximum(raised, 0.0, out=raised)
+    if abs(float(np.add.reduce(raised)) - t) > DEFAULT_TOL * t:
+        if c < np.finfo(float).tiny:
+            raise BadTrace(f"trace target {t} underflows the level c = {c}")
+        raise ArithmeticError("assembled spectrum lost trace mass")
+    gaps = [c - v for v in vals[kept:]]
+    if min(gaps) < -DEFAULT_TOL * t:
+        raise ArithmeticError("gap vector came out negative")
+    cut = TIE_TOL * c
+    increment = np.array([g if g > cut else 0.0 for g in gaps])
+    return r, c, sst, sstst, raised, regime, kept, increment, unique
+
+
+def _outcome(solve, lam, m, t):
+    # every field as bits, or the error's type and message
+    try:
+        r, c, sst, sstst, spectrum, regime, kept, increment, unique = solve(lam, m, t)
+    except (ValueError, ArithmeticError, BadTrace) as exc:
+        return type(exc), str(exc)
+    if isinstance(spectrum, fo.SpectrumVec):
+        assert not (spectrum.values.flags.writeable or increment.flags.writeable)
+        spectrum = spectrum.values
+    edges = [None if x is None else float(x).hex() for x in (c, sst, sstst)]
+    return r, edges, spectrum.tobytes(), regime, kept, increment.tobytes(), unique
+
+
+# at t = tr its level comes out -4.4e-16, by rounding, and nu clamps it to 0
+LEVEL_RESIDUE = [4.860993145997813, 4.498722332075987, 2.4667412258256167, 0.995290062545162,
+                 0.0, 0.0, 0.0, 0.0]
+
+
+def _pinned_spectra(rng):
+    yield from ([3.0, 3.0, 3.0, 1.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [5.0, 5.0])
+    yield from ([1.0, 1.0 + 4e-10, 0.5, 0.5 - 3e-10], [2.0, 1.0, 1.0 + 1.5e-9])  # near-tied
+    yield from ([2.0, -0.0, -0.0], [-0.0], [1.0, -0.0, 0.0, -0.0])  # signed zeros
+    yield from ([1.0, 0.5, -5e-10], [4.0, -3.9e-9], [1e-6, 2e-7, -1e-16])  # just below zero
+    yield LEVEL_RESIDUE
+    for d, scale in ((6, 2.0**-500), (9, 1e-6), (12, 1.0), (16, 2.0**500)):
+        lam = random_spectrum(rng, d)
+        lam[d - d // 3 :] = 0.0
+        yield (lam * scale).tolist()
+
+
+def test_nu_is_pinned_to_the_array_path(rng):
+    # bitwise: the validation on Python floats and the list assembly give every
+    # field of the array path, at tr, s*, s**, d * lam_1, their neighbours and between
+    residue = nu(LEVEL_RESIDUE, 0, float(np.add.reduce(LEVEL_RESIDUE)))
+    assert residue.c < 0.0 and residue.nu.values[-1] == 0.0
+    for lam in _pinned_spectra(rng):
+        d = len(lam)
+        values = _array_spectrum(lam)
+        tr = float(np.add.reduce(values))
+        for m in range(-2, d):
+            edges = [tr, d * float(values[0])]
+            if m >= 1:
+                edges += [s_star(lam, m), s_star_star(lam, m)]
+            grid = [t for x in edges for t in (np.nextafter(x, -1.0), x, np.nextafter(x, np.inf))]
+            grid += [*np.linspace(tr, 2.0 * max(edges), 5), tr * (1.0 - 5e-10), -0.0, 5e-324]
+            for t in grid:
+                for given in (lam, np.array(lam)):
+                    want = _outcome(_array_nu, given, m, float(t))
+                    assert _outcome(nu, given, m, float(t)) == want, (lam, m, t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_anywhere_fails_as_before(bad):
+    # Python's max skips a NaN inside a list; the finite test must still come first
+    bases = ([3.0, 2.0, 1.0, 0.0], [1.0, 5.0, 2.0], [-3.0, 1.0, 2.0], [2.0, -1.0])
+    for base in bases:
+        for i in range(len(base)):
+            lam = list(base)
+            lam[i] = bad
+            for given in (lam, np.array(lam)):
+                want = _outcome(_array_nu, given, 0, 10.0)
+                assert want == (ValueError, "spectrum entries must be finite")
+                assert _outcome(nu, given, 0, 10.0) == want
+    for lam in ([1.0, 2.0], [1.0, 1.0 + 2e-9], [1.0, -0.5], [1.0, -2e-9], []):
+        want = _outcome(_array_nu, lam, 0, 10.0)
+        assert want[0] is ValueError and _outcome(nu, lam, 0, 10.0) == want
 
 
 class TestMembership:
