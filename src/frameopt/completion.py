@@ -4,10 +4,9 @@ Given an initial family F0 in C^d and k prescribed squared norms beta, the
 spectra reachable by appending k vectors with those norms are governed by
 the waterfilling model with rank bound m = d - k and trace
 t = tr(S_F0) + sum(beta).  When the sorted norms are majorized by the gap
-vector mu_hat the problem is feasible, the minimal spectrum nu is attained,
-and the optimal added operator B is an explicit rank-one sum over the
-trailing eigenvectors of S_F0.  Infeasibility is reported as a result, not
-an error, together with the potential lower bounds that nu always provides.
+vector mu_hat (``nu``'s increment) the problem is feasible, and the minimal
+spectrum nu is attained by factoring mu_hat on the trailing eigenvectors of
+S_F0.  Infeasibility is a result, with the lower bounds nu always provides.
 """
 
 from __future__ import annotations
@@ -115,10 +114,8 @@ def optimal_B(s0: HermitianPSD, completion_plan: CompletionPlan) -> HermitianPSD
     """
     if not completion_plan.feasible:
         raise Infeasible("optimal added operator exists only for feasible plans")
-    r_hat = completion_plan.r_hat
-    d = s0.dim
-    values = np.zeros(d)
-    values[r_hat:] = completion_plan.mu_hat
+    values = np.zeros(s0.dim)
+    values[completion_plan.r_hat :] = completion_plan.mu_hat
     return HermitianPSD._trusted(values, s0.eigenvectors)
 
 
@@ -137,14 +134,18 @@ def lower_bounds(nu_spectrum: SpectrumVec) -> dict:
 def complete(problem: CompletionProblem) -> CompletionResult:
     """Solve the completion problem; infeasibility is a result, not an error.
 
-    Adds ``realize_frame(optimal_B(S_F0, plan), beta)`` without its checks:
-    rank(B) <= d - r_hat <= k, and ``plan`` asked ``majorizes`` of this sigma.
+    Factors the pair ``nu`` gives (S_F0's eigenvectors[:, r_hat:], mu_hat) with no operator
+    built, as B = ``optimal_B(S_F0, plan)``'s top eigenpairs in B's order, zero masses kept
+    (their rows hold signed zeros): the bits of ``realize_frame(B, beta)``, checked by ``plan``.
     """
     completion_plan = plan(problem)
     bounds = lower_bounds(completion_plan.nu)
     added = completed = None
     if completion_plan.feasible:
-        added = _realize(optimal_B(frame_operator(problem.initial), completion_plan),
+        mass = np.zeros(problem.d)
+        mass[completion_plan.r_hat :] = completion_plan.mu_hat
+        top = np.argsort(-mass, kind="stable")[: problem.k]
+        added = _realize(frame_operator(problem.initial).eigenvectors[:, top], mass[top],
                          problem.beta, _chain)
         # No second finiteness test: F0 passed Frame's, and added = V sigma^1/2 U*
         # (orthonormal V, orthogonal U, sum(sigma) <= t, which nu found finite)

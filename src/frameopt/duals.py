@@ -20,15 +20,19 @@ from .core_linalg import HermitianPSD, _fix_phases
 from .errors import InsufficientCorank
 from .frames import Frame, _operator_svd, _svd, canonical_dual, frame_to_json, inverse_operator
 from .majorization import DEFAULT_TOL, SpectrumVec
-from .spectra import NuBreakdown, nu
+from .spectra import NuBreakdown, _check_trace, nu
 
 
 @dataclass(frozen=True)
 class DualProblem:
-    """Spanning frame plus a lower bound t on the dual operator trace."""
+    """Spanning frame plus a lower bound t on the dual operator trace, read as a float by the
+    trace rule (real and finite, else ValueError); ``nu`` tests it against tr(S_F^{-1})."""
 
     frame: Frame
     t: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", _check_trace(self.t))
 
     @property
     def m(self) -> int:
@@ -59,11 +63,11 @@ def optimal_dual_spectrum(problem: DualProblem) -> NuBreakdown:
 def optimal_dual(problem: DualProblem) -> DualResult:
     """Dual frame whose operator attains the minimal spectrum.
 
-    The construction adds, on top of the canonical dual's analysis matrix,
-    a block Z = sum_i sqrt(mass_i) u_i h_i* that maps the trailing
-    eigenvectors h_i of S_F^{-1} onto orthonormal kernel directions u_i of
-    the synthesis (right singular vectors of T past the d-th), so S_W =
-    S_F^{-1} + Z*Z and duality is untouched.  The masses are the increment.
+    The construction adds, on top of the canonical dual's analysis matrix, a block
+    Z = sum_i sqrt(mass_i) u_i h_i* that maps the trailing eigenvectors h_i of S_F^{-1}
+    onto orthonormal kernel directions u_i of the synthesis (right singular vectors of T
+    past the d-th), so S_W = S_F^{-1} + Z*Z and duality is untouched.  (h_i, mass_i) is the
+    pair (eigenvectors[:, kept:], increment) from ``nu`` that ``complete`` factors too.
 
     BadTrace is ``nu``'s: below tr(S_F^{-1}) * (1 - DEFAULT_TOL).  The q = d - kept
     masses always fit the n - d kernel directions, since kept >= m = 2d - n.

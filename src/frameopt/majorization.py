@@ -30,15 +30,16 @@ GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality
 
 def _numbers(x, error=ValueError) -> np.ndarray:
     """x's entries as a float array, or a complex one when any entry is complex: the library's
-    one cast of an argument.  ``error`` for text, bytes or another entry that is not a number
-    (an object array is read entry by entry) and for an integer past the float range."""
+    one cast of an argument.  ``error`` for text, bytes, bool or another entry that is not a
+    number (an object array is read entry by entry) and for an integer past the float range."""
     if type(x) is np.ndarray and x.dtype == np.float64:  # already what the cast makes
         return x
     v = np.asarray(x)
     kind = v.dtype.kind
-    if kind == "O" and all(isinstance(e, numbers.Number) for e in v.flat):  # as for 10**400
+    if kind == "O" and all(isinstance(e, numbers.Number) and not isinstance(e, bool)
+                           for e in v.flat):  # as for 10**400; np.bool_ is no Number
         kind = "c" if any(isinstance(e, (complex, np.complexfloating)) for e in v.flat) else "f"
-    if kind not in "biufc":
+    if kind not in "iufc":
         raise error(f"entries must be numbers, got {v.dtype}")
     try:
         return np.asarray(v, dtype=complex if kind == "c" else float)

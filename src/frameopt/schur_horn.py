@@ -5,8 +5,9 @@ diag(spectrum) into a matrix with a given diagonal (possible exactly when
 the target is majorized by the spectrum: ``majorizes``, which ``plan`` asks
 too), pinning one diagonal entry per rotation.  ``_rotate`` applies them to
 k rows: of the identity in ``unitary_for_diagonal``, and of (V diag(sigma)^1/2)^T
-in ``realize_frame``, which so factors a PSD operator into k vectors of
-prescribed squared norms in dimension d in O(k d), without forming the unitary.
+in ``_realize``, which so factors eigenpairs (V, sigma) into k vectors of prescribed
+squared norms in O(k d), without forming the unitary: B's in ``realize_frame``, S_F0's
+trailing ones with their waterfilling masses in ``complete``.
 """
 
 from __future__ import annotations
@@ -101,16 +102,14 @@ def unitary_for_diagonal(spectrum, target) -> np.ndarray:
     return _rotate(np.eye(rows.size), rotations, rows)
 
 
-def _realize(b: HermitianPSD, beta: np.ndarray, planner) -> np.ndarray:
-    """V diag(sigma)^1/2 U*, phase-fixed: V is B's top p = min(dim B, k) eigenvectors, sigma
-    its spectrum padded with zeros (or cut) to k = beta.size, U real from planner(sigma, beta),
-    so the chain rotates the k x d rows of (V diag(sigma)^1/2)^T, zero past p."""
-    k = beta.size
-    p = min(b.dim, k)
+def _realize(v: np.ndarray, mass: np.ndarray, beta: np.ndarray, planner) -> np.ndarray:
+    """V diag(sigma)^1/2 U*, phase-fixed, for p <= k = beta.size eigenvectors V: sigma is their
+    nonincreasing masses padded with zeros to k, and U real from planner(sigma, beta)."""
+    k, p = beta.size, mass.size
     sigma = np.zeros(k)
-    sigma[:p] = b.eigenvalues.values[:p]
-    x = np.zeros((k, b.dim), b.eigenvectors.dtype)
-    x[:p] = (b.eigenvectors[:, :p] * np.sqrt(sigma[:p])).T
+    sigma[:p] = mass
+    x = np.zeros((k, v.shape[0]), v.dtype)
+    x[:p] = (v * np.sqrt(mass)).T
     return _fix_phases(_rotate(x, *planner(sigma, beta)).T.copy())
 
 
@@ -129,4 +128,4 @@ def realize_frame(b: HermitianPSD, beta) -> np.ndarray:
     rank = psd_rank(b.eigenvalues)
     if rank > k:
         raise RankTooLarge(f"rank {rank} operator cannot be carried by {k} vectors")
-    return _realize(b, beta, rotation_chain)
+    return _realize(b.eigenvectors[:, :k], b.eigenvalues.values[:k], beta, rotation_chain)

@@ -52,11 +52,11 @@ class NuBreakdown(NamedTuple):
     """Minimal spectrum at trace t together with its building blocks.
 
     ``kept`` is r' = max(r, m): the top ``kept`` entries of ``lam`` stay as
-    they are.  ``increment`` holds the masses c - lam_i, i > kept (read-only),
-    that both solvers place on the trailing ``d - kept`` eigenvectors:
-    completion factors them into vectors of prescribed norms, the optimal
-    dual into orthonormal kernel directions.  A mass at most TIE_TOL * c is
-    summation-order residue, which a square root would amplify: it is cut to 0.
+    they are.  ``increment`` holds the masses c - lam_i, i > kept (read-only).
+    Both solvers read the one pair (eigenvectors[:, kept:], increment): ``complete``
+    factors it into vectors of prescribed norms, ``optimal_dual`` onto orthonormal
+    kernel directions.  A mass at most TIE_TOL * c is summation-order residue,
+    which a square root would amplify: it is cut to 0.
     ``unique`` tells whether a single perturbed operator reaches ``nu``: true
     when m <= 0, when lam_m exceeds lam_{m+1}, or when t does not exceed s*,
     with ties decided within DEFAULT_TOL * lam_1.  Both solvers report it.

@@ -198,6 +198,14 @@ class TestDual:
         assert code == 6
         assert err
 
+    def test_non_finite_trace_exits_before_the_spanning_gate(self, capsys, tmp_path):
+        flat = fo.Frame(np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]]))
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(fo.frame_to_json(flat)))
+        code, out, err = run(capsys, "dual", "--frame", str(path), "--t", "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("frameopt: trace target must be finite")
+
     def test_subnormal_operator_exit(self, capsys, tmp_path):
         tiny = fo.Frame(1e-160 * np.random.default_rng(5).standard_normal((3, 5)))
         path = tmp_path / "tiny.json"

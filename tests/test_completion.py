@@ -296,13 +296,13 @@ def test_one_eigensolve_per_completion(monkeypatch, cplx):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "frameopt" and getattr(module, "majorizes", None) is real:
             count_calls(monkeypatch, module, "majorizes", majorizes)
-    # B is built once, by optimal_B, and its eigenpairs factored as they are
-    builds_b = count_calls(monkeypatch, fo.completion, "optimal_B")
+    # S_F0 is the only operator built: its trailing eigenpairs are factored as they are
+    built = count_calls(monkeypatch, fo.HermitianPSD, "_set")
     res = complete(CompletionProblem(Frame(synthesis), [1.0, 1.0, 1.0]))
     assert res.feasible and res.added.shape == (5, 3)
     assert len(eigh) == 1
     assert len(majorizes) == 1
-    assert len(builds_b) == 1
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -373,7 +373,7 @@ def _path_cases(rng):
 
 
 def test_complete_adds_what_optimal_B_and_realize_frame_add(rng):
-    seen = {"tied": 0, "cut": 0, "infeasible": 0}
+    seen = {"tied": 0, "cut": 0, "k > d": 0, "infeasible": 0}
     for frame, beta in _path_cases(rng):
         prob = CompletionProblem(frame, beta)
         res = complete(prob)
@@ -388,7 +388,33 @@ def test_complete_adds_what_optimal_B_and_realize_frame_add(rng):
         mu = res.plan.mu_hat
         seen["tied"] += bool(np.any((mu[1:] == mu[:-1]) & (mu[1:] > 0.0)))
         seen["cut"] += bool(np.any(mu == 0.0))
+        seen["k > d"] += prob.k > prob.d  # the rows past min(d, k) are zero
     assert min(seen.values()) > 0, seen
+
+
+def test_zero_mass_rows_keep_the_bits_of_realize_frame(rng):
+    # Block-diagonal frames: S_F0's eigenvectors hold exact zeros, signed as the eigensolver
+    # leaves them.  When min(d, k) exceeds the positive masses, B's top eigenpairs include
+    # zero masses, and their rows V[:, j] * 0.0 carry those signs through the rotations.
+    zero_rows = 0
+    for _ in range(150):
+        blocks = [rng.choice([-1.0, 0.0, 1.0], (s, s + int(rng.integers(3))))
+                  for s in rng.integers(1, 4, int(rng.integers(1, 3)))]
+        d, n = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+        synthesis, r, c = np.zeros((d, n)), 0, 0
+        for b in blocks:
+            synthesis[r : r + b.shape[0], c : c + b.shape[1]] = b
+            r, c = r + b.shape[0], c + b.shape[1]
+        try:
+            prob = CompletionProblem(Frame(synthesis), np.full(int(rng.integers(1, d + 2)), 0.25))
+            res = complete(prob)
+        except RankDeficient:
+            continue
+        if res.feasible:
+            ref = fo.realize_frame(optimal_B(fo.frame_operator(prob.initial), res.plan), prob.beta)
+            assert res.added.tobytes() == ref.tobytes()
+            zero_rows += min(prob.d, prob.k) > np.count_nonzero(res.plan.mu_hat)
+    assert zero_rows > 0
 
 
 def test_json_schema(ej1_frame):

@@ -134,6 +134,19 @@ class TestOptimalDual:
         with pytest.raises(NotSpanning):
             optimal_dual(DualProblem(frame, 4.0))
 
+    @pytest.mark.parametrize("t", ["x", np.nan, np.inf, 1j, [1.0, 2.0]],
+                             ids=["text", "nan", "inf", "complex", "two entries"])
+    def test_problem_reads_its_trace_when_built(self, t):
+        # such a trace once failed only when the problem was solved; now it fails when
+        # the problem is built, before the spanning gate of this flat frame
+        flat = Frame(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            DualProblem(flat, t)
+
+    def test_problem_stores_its_trace_as_a_float(self, dual_frame):
+        problem = DualProblem(dual_frame, np.array([16.5]))
+        assert type(problem.t) is float and problem.t == 16.5
+
 
 def _random_dual(rng, frame, t=None, slack=1.0):
     """Member of the dual set: canonical dual plus kernel-supported noise.

@@ -269,13 +269,27 @@ def test_an_integer_past_the_float_range_is_not_finite(call, error):
         (lambda: HermitianPSD.from_eigensystem([2, 1], [["1", "0"], ["0", "1"]]), ValueError),
         (lambda: fo.Frame([[1j, 10**400], [0, 1]]), ShapeMismatch),
         (lambda: HermitianPSD.from_eigensystem([2, 1], [[np.nan, 0], [0, 1]]), ValueError),
+        (lambda: fo.Frame([[True, False]]), ShapeMismatch),
+        (lambda: fo.Frame(np.array([[True, 1.0]], dtype=object)), ShapeMismatch),
+        (lambda: SpectrumVec([True, False]), ValueError),
+        (lambda: fo.nu([True, True], 0, 2.0), ValueError),
+        (lambda: fo.nu([2, 1], 0, True), ValueError),
+        (lambda: fo.nu([2, 1], 0, np.True_), ValueError),
+        (lambda: majorizes([True, False], [1.0, 0.0]), ValueError),
+        (lambda: fo.CompletionProblem(fo.Frame(np.eye(2)), np.array([True, 1], dtype=object)),
+         ValueError),
+        (lambda: HermitianPSD([[True, False], [False, True]]), NotHermitian),
     ],
     ids=["nu t text", "SpectrumVec text", "Frame text", "eig_hermitian text",
-         "from_eigensystem text", "Frame complex and huge", "from_eigensystem NaN"],
+         "from_eigensystem text", "Frame complex and huge", "from_eigensystem NaN",
+         "Frame bool", "Frame object bool", "SpectrumVec bool", "nu lam bool", "nu t bool",
+         "nu t numpy bool", "majorizes bool", "CompletionProblem beta object bool",
+         "HermitianPSD bool"],
 )
 def test_each_reader_takes_numbers_only(call, error):
-    # text was once parsed as numbers, the mixed Frame raised a bare TypeError and a
-    # NaN eigenvector passed the orthonormality test
+    # text was once parsed as numbers, the mixed Frame raised a bare TypeError, a
+    # NaN eigenvector passed the orthonormality test, and bools were read as 1.0 and
+    # 0.0 although m and frame JSON refused them
     with pytest.raises(error):
         call()
 
