@@ -4,9 +4,9 @@ Every dual of a spanning frame F has frame operator S = S_F^{-1} + B with
 B positive semidefinite of rank at most n - d.  Among duals whose operator
 trace is at least t, the submajorization-minimal operator spectrum is the
 waterfilling spectrum of the inverse-operator eigenvalues with rank bound
-m = 2d - n, and a dual attaining it is built from the canonical dual by
-adding mass on ker(T) paired with the trailing eigenvectors of S_F^{-1},
-all read off one SVD of T, so errors grow like cond(S_F)^(1/2), not
+m = 2d - n, and a dual attaining it is the canonical dual plus mass on
+ker(T) paired with the trailing eigenvectors of S_F^{-1}, all read off one
+SVD of T behind one spanning gate, so errors grow like cond(S_F)^(1/2), not
 cond(S_F).  ``nu`` applies the trace rule (t finite, and not below tr(S_F^{-1})).
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .core_linalg import HermitianPSD, _fix_phases
 from .errors import InsufficientCorank
-from .frames import Frame, _operator_svd, _svd, canonical_dual, frame_to_json, inverse_operator
+from .frames import Frame, _operator_svd, _svd, frame_to_json, inverse_operator
 from .majorization import DEFAULT_TOL, SpectrumVec
 from .spectra import NuBreakdown, _check_trace, nu
 
@@ -63,28 +63,27 @@ def optimal_dual_spectrum(problem: DualProblem) -> NuBreakdown:
 def optimal_dual(problem: DualProblem) -> DualResult:
     """Dual frame whose operator attains the minimal spectrum.
 
-    The construction adds, on top of the canonical dual's analysis matrix, a block
-    Z = sum_i sqrt(mass_i) u_i h_i* that maps the trailing eigenvectors h_i of S_F^{-1}
-    onto orthonormal kernel directions u_i of the synthesis (right singular vectors of T
-    past the d-th), so S_W = S_F^{-1} + Z*Z and duality is untouched.  (h_i, mass_i) is the
-    pair (eigenvectors[:, kept:], increment) from ``nu`` that ``complete`` factors too.
+    Its analysis matrix is the canonical dual's, V_1 diag(1/sigma) U*, plus a block
+    Z = sum_i sqrt(mass_i) u_i h_i* mapping the trailing eigenvectors h_i of S_F^{-1} onto
+    kernel directions u_i (orthonormal rows of V* past the d-th), all read off the one gated
+    SVD T = U diag(sigma) V*, so S_W = S_F^{-1} + Z*Z and duality is untouched.  (h_i, mass_i)
+    is the pair (eigenvectors[:, kept:], increment) from ``nu`` that ``complete`` factors too.
 
-    BadTrace is ``nu``'s: below tr(S_F^{-1}) * (1 - DEFAULT_TOL).  The q = d - kept
-    masses always fit the n - d kernel directions, since kept >= m = 2d - n.
+    Not rechecked, as neither can fail: ``canonical_dual``'s gate would test the sigma that
+    ``inverse_operator``'s gate has just passed (spanning, sigma_1^2 finite, sigma_d^2 >= tiny);
+    W is finite, as 1/sigma is by that gate, the increment is as c is for a finite t, and the
+    u_i are orthonormal.  BadTrace is ``nu``'s: below tr(S_F^{-1}) * (1 - DEFAULT_TOL).
     """
     d = problem.frame.d
     sinv, breakdown = _solve_spectrum(problem)
     lam, h, kept = sinv.eigenvalues, sinv.eigenvectors, breakdown.kept
-    q = d - kept  # at least 1: r <= d - 1, and m = 2d - n <= d - 1 as n > d
-    synthesis = canonical_dual(problem.frame).synthesis
-    vh = _svd(problem.frame)[2]  # the SVD canonical_dual read
+    q = d - kept  # 1 <= q <= n - d, the kernel rows: m = 2d - n <= kept <= d - 1 as n > d
+    u, s, vh = _svd(problem.frame)  # the cached SVD whose sigma inverse_operator's gate passed
     kernel = _fix_phases(vh[d : d + q].conj().T.copy())  # the u_i
-    synthesis = synthesis + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel.conj().T
+    synthesis = (u / s) @ vh[:d] + (h[:, kept:] * np.sqrt(breakdown.increment)) @ kernel.conj().T
     operator = HermitianPSD._trusted(
         np.concatenate((lam.values[:kept], np.full(q, breakdown.c))), h
     )
-    # No copy or finiteness test: 1/sigma is finite, as sigma_d^2 >= tiny passed
-    # inverse_operator's gate, and so is the increment, as c is for a finite t.
     return DualResult(
         dual=Frame._trusted(synthesis),
         operator=operator,

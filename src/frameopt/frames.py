@@ -22,13 +22,13 @@ class Frame:
     __slots__ = ("_synthesis", "_operator", "_svd")
 
     def __init__(self, synthesis):
-        arr = np.asarray(synthesis)
+        arr = _numbers(synthesis, ShapeMismatch)  # raw: a list may mix bools with numbers
         if arr.ndim != 2:
             raise ShapeMismatch(f"synthesis must be a matrix, got shape {arr.shape}")
         d, n = arr.shape
         if d < 1 or n < 1:
             raise ShapeMismatch("frame needs at least one vector in dimension >= 1")
-        mat = _numbers(arr, ShapeMismatch).copy()  # the caller's float array is read as is
+        mat = arr.copy()  # the caller's float array is read as is
         if not np.isfinite(mat).all():
             raise ShapeMismatch("frame entries must be finite")
         mat.flags.writeable = False

@@ -10,6 +10,7 @@ outside, trusted when the library has just made it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 
@@ -30,8 +31,8 @@ GATE_TOL = 1e-8  # conditioning gates, orthonormality, phase pivots, the duality
 
 def _numbers(x, error=ValueError) -> np.ndarray:
     """x's entries as a float array, or a complex one when any entry is complex: the library's
-    one cast of an argument.  ``error`` for text, bytes, bool or another entry that is not a
-    number (an object array is read entry by entry) and for an integer past the float range."""
+    one cast of an argument.  ``error`` for text, bytes, bool or another non-number (each entry
+    is read unless x is a numeric ndarray) and for an integer past the float range."""
     if type(x) is np.ndarray and x.dtype == np.float64:  # already what the cast makes
         return x
     v = np.asarray(x)
@@ -41,6 +42,9 @@ def _numbers(x, error=ValueError) -> np.ndarray:
         kind = "c" if any(isinstance(e, (complex, np.complexfloating)) for e in v.flat) else "f"
     if kind not in "iufc":
         raise error(f"entries must be numbers, got {v.dtype}")
+    if type(x) is not np.ndarray and any(np.asarray(e).dtype.kind == "b"  # [True, 0.5] is float64
+                                         for e in np.asarray(x, dtype=object).flat):
+        raise error("entries must be numbers, got a bool")
     try:
         return np.asarray(v, dtype=complex if kind == "c" else float)
     except OverflowError as exc:  # an integer past the float range
@@ -85,7 +89,10 @@ class SpectrumVec:
         if not all(map(math.isfinite, vals)):  # max would skip a NaN inside the list
             raise ValueError("spectrum entries must be finite")
         slack = DEFAULT_TOL * max(map(abs, vals))
-        if any(b > a + slack for a, b in zip(vals, vals[1:])):
+        # against the least earlier entry, not the neighbour, so in-slack steps cannot climb
+        if any(b > a for a, b in zip(vals, vals[1:])) and any(
+            b > low + slack for low, b in zip(itertools.accumulate(vals, min), vals[1:])
+        ):
             raise ValueError("spectrum entries must be nonincreasing")
         if vals[-1] < -slack:
             raise ValueError("spectrum entries must be nonnegative")

@@ -105,6 +105,12 @@ class TestNu:
         code, _, err = run(capsys, "nu", "--lambda", "not-a-file", "--m", "3", "--t", "26.5")
         assert code == 2
         assert err
+        # each step within the order slack, but 3e-9 above the earlier 0: this spectrum once
+        # reached nu's "gap vector came out negative" guard, a bare ArithmeticError and exit 1
+        lam = "1,0,1e-9,2e-9,3e-9"
+        code, out, err = run(capsys, "nu", "--lambda", lam, "--m", "0", "--t", "1.000000006")
+        assert (code, out) == (2, "")
+        assert err.startswith("frameopt: spectrum entries must be nonincreasing")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "nu", "--lambda", "9,5,4,2,1", "--m", "3", "--t", "26.5")

@@ -57,9 +57,7 @@ class TestOptimalDual:
     def test_base_trace_returns_canonical(self, dual_frame):
         sinv = inverse_operator(dual_frame)
         res = optimal_dual(DualProblem(dual_frame, sinv.trace()))
-        assert np.linalg.norm(
-            res.dual.synthesis - canonical_dual(dual_frame).synthesis
-        ) <= 1e-8
+        assert np.array_equal(res.dual.synthesis, canonical_dual(dual_frame).synthesis)
 
     def test_two_copies_of_onb(self):
         frame = Frame(np.hstack([np.eye(3), np.eye(3)]))
@@ -172,11 +170,17 @@ def test_one_svd_and_no_eigh_or_qr_per_dual(monkeypatch, cplx):
     synthesis = DUAL_SYNTHESIS * (1.0 + 1j) if cplx else DUAL_SYNTHESIS
     t = 2.0 * inverse_operator(Frame(synthesis)).trace()
     assert optimal_dual_spectrum(DualProblem(Frame(synthesis), t)).kept < 5  # kernel used
+    frame = Frame(synthesis)
     calls = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "svd", "qr")}
-    res = optimal_dual(DualProblem(Frame(synthesis), t))
+    gates = count_calls(monkeypatch, fo.frames, "_inverse_svd")
+    built = count_calls(monkeypatch, Frame, "__init__")
+    count_calls(monkeypatch, Frame, "_trusted", built)
+    res = optimal_dual(DualProblem(frame, t))
     assert not calls["eigh"] and not calls["qr"]
     assert len(calls["svd"]) == 1 and calls["svd"][0].get("compute_uv", True)
-    assert fo.is_dual(Frame(synthesis), res.dual)
+    # one spanning gate, and W the one Frame built: canonical_dual's were a second of each
+    assert len(gates) == 1 and len(built) == 1
+    assert fo.is_dual(frame, res.dual)
 
 
 def test_long_frame_dual(monkeypatch, rng):

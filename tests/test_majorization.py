@@ -203,6 +203,8 @@ class TestSpectrumVec:
         assert SpectrumVec(inside).values.tolist() == inside
         with pytest.raises(ValueError, match="nonincreasing"):
             SpectrumVec([top, scale, scale + 1.1 * slack])
+        with pytest.raises(ValueError, match="nonincreasing"):  # each step within the slack
+            SpectrumVec([top, scale, scale + 0.6 * slack, scale + 1.2 * slack])
 
     def test_no_warning_near_the_float_maximum(self):
         # an entry plus the order slack past the float range is inf, above the next entry
@@ -279,17 +281,27 @@ def test_an_integer_past_the_float_range_is_not_finite(call, error):
         (lambda: fo.CompletionProblem(fo.Frame(np.eye(2)), np.array([True, 1], dtype=object)),
          ValueError),
         (lambda: HermitianPSD([[True, False], [False, True]]), NotHermitian),
+        (lambda: fo.Frame([[True, 0.5]]), ShapeMismatch),
+        (lambda: SpectrumVec([True, 0.5]), ValueError),
+        (lambda: SpectrumVec([np.array(True), 0.5]), ValueError),
+        (lambda: fo.nu([2.0, True], 0, 5.0), ValueError),
+        (lambda: fo.CompletionProblem(fo.Frame(np.eye(2)), [True, 0.5]), ValueError),
+        (lambda: majorizes([1.0, np.True_], [1.0, 0.0]), ValueError),
+        (lambda: HermitianPSD([[True, 0.0], [0.0, 1.0]]), NotHermitian),
     ],
     ids=["nu t text", "SpectrumVec text", "Frame text", "eig_hermitian text",
          "from_eigensystem text", "Frame complex and huge", "from_eigensystem NaN",
          "Frame bool", "Frame object bool", "SpectrumVec bool", "nu lam bool", "nu t bool",
          "nu t numpy bool", "majorizes bool", "CompletionProblem beta object bool",
-         "HermitianPSD bool"],
+         "HermitianPSD bool", "Frame mixed bool", "SpectrumVec mixed bool",
+         "SpectrumVec mixed 0-d bool array", "nu lam mixed bool",
+         "CompletionProblem beta mixed bool", "majorizes mixed numpy bool",
+         "HermitianPSD mixed bool"],
 )
 def test_each_reader_takes_numbers_only(call, error):
     # text was once parsed as numbers, the mixed Frame raised a bare TypeError, a
     # NaN eigenvector passed the orthonormality test, and bools were read as 1.0 and
-    # 0.0 although m and frame JSON refused them
+    # 0.0 although m and frame JSON refused them (mixed with floats, numpy still cast them)
     with pytest.raises(error):
         call()
 
