@@ -1,10 +1,9 @@
 """Dense complex-Hermitian kernels: eigensystems, null spaces, rotations.
 
-Eigensystems come from one LAPACK ``eigh`` call (the completion side's
-S_F = T T*), followed by a canonicalization step: a stable descending
-sort and a fixed phase for every column, which the dual side also
-applies to the factors of the frame's own SVD.  Identical inputs
-therefore produce identical outputs on one machine; across BLAS/LAPACK
+Eigensystems come from one LAPACK ``eigh`` call (the completion side's S_F = T T*), then a
+stable descending sort and one phase rule, the same for real and complex columns: each column's
+first significant entry is made real positive (the dual side fixes its SVD factors the same way).
+Identical inputs therefore produce identical outputs on one machine; across BLAS/LAPACK
 builds the results agree to rounding, not bitwise.  Real symmetric input
 yields real output arrays.  Input equal to its adjoint bit for bit is used
 as is; any other is tested and replaced by its overflow-safe Hermitian
@@ -49,27 +48,22 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Make each column's first significant entry real positive, in place.
+    """Make each column's first significant entry p real positive, in place.
 
-    An entry is significant when its modulus exceeds
-    ``GATE_TOL * ||column||``; columns with none are left as is.
+    An entry is significant when its modulus exceeds ``GATE_TOL * ||column||``; columns with
+    none are left as is.  One rule: multiply by conj(p) / |p|, write |p| in p's place.  Real
+    columns need no branch: conj is the identity and p / |p| exactly +-1, a sign flip.
     """
     if v.size == 0:
         return v
-    cplx, mag = np.iscomplexobj(v), np.abs(v)
-    square = (v.conj() * v).real if cplx else v * v
-    mask = mag > GATE_TOL * np.sqrt(np.add.reduce(square, 0))  # norm(v, axis=0)
+    mag = np.abs(v)
+    mask = mag > GATE_TOL * np.sqrt(np.add.reduce((v.conj() * v).real, 0))  # norm(v, axis=0)
     rows = mask.argmax(axis=0)  # first significant entry; 0 in a column with none
     cols = np.arange(v.shape[1])
     pivoted = mask[rows, cols]
-    pivot = v[rows, cols]
-    if cplx:
-        size = mag[rows, cols]
-        # a column with no pivot gets the neutral phase 1
-        v *= np.conj(np.where(pivoted, pivot, 1.0)) / np.where(pivoted, size, 1.0)
-        v[rows[pivoted], cols[pivoted]] = size[pivoted]
-    else:
-        v *= np.where(pivoted & (pivot < 0.0), -1.0, 1.0)
+    size = np.where(pivoted, mag[rows, cols], 1.0)  # a column with no pivot gets phase 1
+    v *= np.conj(np.where(pivoted, v[rows, cols], 1.0)) / size  # not conj(p / |p|): it flips signed zeros
+    v[rows[pivoted], cols[pivoted]] = size[pivoted]
     return v
 
 

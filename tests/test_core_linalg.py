@@ -167,10 +167,21 @@ def test_fix_phases_matches_the_norm_formula(rng, cplx):
         v[:3, 5] = 1e-12 * scale  # below the gate, then a pivot
         v[::2, 6] = tiny / 8.0  # subnormal entries beside normal ones
         for w in (v, v[:, 4:], v[:, :2]):  # with and without unpivoted columns
-            with np.errstate(over="ignore", invalid="ignore"):  # column 3 only
+            with np.errstate(over="ignore", invalid="ignore"):  # column 3; column 4 if complex
                 ref = _fix_phases_norm(w.copy())
                 got = _fix_phases(w.copy())
+                if not cplx:  # the one rule on w embedded as complex
+                    embedded = _fix_phases(w + 0j)
+                    embedded_ref = _fix_phases_norm(w + 0j)
             assert _same_bits(got, ref)
+            if not cplx:
+                assert _same_bits(embedded, embedded_ref)  # conj before the divide: signed zeros too
+                # numpy's complex divide forms conj(p) * (1 / |p|), so a real pivot's phase may miss
+                # +-1 by an ulp; in a column of subnormals 1 / |p| overflows and the column is NaN
+                normal = np.abs(w).max(axis=0) >= tiny
+                assert not embedded.imag[:, normal].any()
+                eps = np.finfo(float).eps
+                assert np.all(np.abs(embedded.real - got)[:, normal] <= eps * np.abs(got[:, normal]))
 
 
 class TestHermitianPSD:
